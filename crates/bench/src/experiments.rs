@@ -10,8 +10,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sss_core::sketch::{JoinSchema, JoinSketch};
 use sss_core::{
-    EpochShedder, IidStreamSketcher, JoinQuery, LoadSheddingSketcher, RateGrid,
-    ReferenceEpochShedder, ScanSketcher, Summary,
+    EpochShedder, IidStreamSketcher, JoinQuery, RateGrid, ReferenceEpochShedder, Sampled,
+    ScanSketcher, Summary,
 };
 use sss_datagen::{DiscreteAlias, TpchGenerator, ZipfGenerator};
 use sss_moments::FrequencyVector;
@@ -66,10 +66,8 @@ pub fn bernoulli_sj_sweep(cfg: &BernoulliSweep) -> Vec<SweepPoint> {
             );
             let schema = JoinSchema::fagms(1, cfg.buckets, &mut rng);
             for (pi, &p) in cfg.probabilities.iter().enumerate() {
-                let mut fs =
-                    LoadSheddingSketcher::new(&schema, p, &mut rng).expect("valid probability");
-                let mut gs =
-                    LoadSheddingSketcher::new(&schema, p, &mut rng).expect("valid probability");
+                let mut fs = Sampled::new(schema.sketch(), p, &mut rng).expect("valid probability");
+                let mut gs = Sampled::new(schema.sketch(), p, &mut rng).expect("valid probability");
                 for &k in &f_stream {
                     fs.observe(k);
                 }
@@ -104,8 +102,7 @@ pub fn bernoulli_sjs_sweep(cfg: &BernoulliSweep) -> Vec<SweepPoint> {
             let truth = FrequencyVector::from_keys(stream.iter().copied(), cfg.domain).self_join();
             let schema = JoinSchema::fagms(1, cfg.buckets, &mut rng);
             for (pi, &p) in cfg.probabilities.iter().enumerate() {
-                let mut s =
-                    LoadSheddingSketcher::new(&schema, p, &mut rng).expect("valid probability");
+                let mut s = Sampled::new(schema.sketch(), p, &mut rng).expect("valid probability");
                 for &k in &stream {
                     s.observe(k);
                 }

@@ -24,8 +24,8 @@ use sss_moments::engine::{self, Moments};
 use sss_moments::freq::FrequencyVector;
 use sss_moments::scheme::{Bernoulli, WithReplacement, WithoutReplacement};
 
-/// Moments of [`crate::LoadSheddingSketcher::self_join`] on a stream with
-/// true frequencies `f`, shedding probability `p`, over `schema`.
+/// Moments of [`crate::Sampled::self_join`] for a join sketch of `schema`
+/// on a stream with true frequencies `f` and shedding probability `p`.
 pub fn shedding_self_join(f: &FrequencyVector, p: f64, schema: &JoinSchema) -> Result<Moments> {
     let scheme = Bernoulli::new(p)?;
     Ok(engine::sketch_sample_sjs(
@@ -35,8 +35,9 @@ pub fn shedding_self_join(f: &FrequencyVector, p: f64, schema: &JoinSchema) -> R
     )?)
 }
 
-/// Moments of [`crate::LoadSheddingSketcher::size_of_join`] for streams
-/// with true frequencies `f`, `g` and shedding probabilities `p`, `q`.
+/// Moments of [`crate::Sampled::size_of_join`] for join sketches of
+/// `schema` on streams with true frequencies `f`, `g` and shedding
+/// probabilities `p`, `q`.
 pub fn shedding_size_of_join(
     f: &FrequencyVector,
     g: &FrequencyVector,

@@ -28,7 +28,7 @@
 
 use crate::epochs::{same_p, Epoch};
 use crate::error::{Error, Result};
-use crate::shedding::bernoulli_self_join;
+use crate::sampled::bernoulli_self_join;
 use crate::sketch::JoinSchema;
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -47,7 +47,7 @@
 use crate::compaction::QueryCache;
 use crate::error::{Error, Result};
 use crate::portable::{TAG_AGMS, TAG_EPOCHS, TAG_FAGMS};
-use crate::shedding::{bernoulli_self_join, skip_sample_batch};
+use crate::sampled::{bernoulli_self_join, skip_sample_batch};
 use crate::sketch::{JoinSchema, JoinSketch};
 use crate::slim::SlimJoin;
 use crate::summary::Portable;
@@ -174,8 +174,8 @@ impl EpochShedder {
     /// Bit-identical to calling [`EpochShedder::observe`] per key — same
     /// geometric-gap draw order, same sketch state via the batched update
     /// kernel — through the same skip-sampling kernel as
-    /// [`crate::LoadSheddingSketcher::feed_batch`]
-    /// (`crate::shedding::skip_sample_batch`). The whole batch lands in the
+    /// [`crate::Sampled::feed_batch`]
+    /// (`crate::sampled::skip_sample_batch`). The whole batch lands in the
     /// epoch in force when the call starts; rate changes take effect
     /// between batches via [`EpochShedder::set_probability`].
     pub fn feed_batch(&mut self, keys: &[u64]) -> u64 {

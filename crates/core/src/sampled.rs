@@ -3,11 +3,11 @@
 //!
 //! The paper's central idea is that a sketch over a `Bernoulli(p)` sample
 //! still answers full-stream queries once the right `1/p` correction is
-//! applied on the way out. Pre-redesign, each driver hard-coded one
-//! summary kind (`LoadSheddingSketcher` for join sketches, `SampledTopK`
-//! for heavy hitters). `Sampled<S>` factors the sampling machinery out
-//! once: a geometric-skip Bernoulli sampler in front of *any* summary,
-//! with query corrections unlocked per capability of `S`:
+//! applied on the way out (paper Section VI-A: load shedding).
+//! `Sampled<S>` is the workspace's one Bernoulli front end: a
+//! geometric-skip sampler (work proportional to the tuples actually
+//! *kept*, per Olken) in front of *any* summary, with query corrections
+//! unlocked per capability of `S`:
 //!
 //! | `S` implements | corrected queries | correction |
 //! |---|---|---|
@@ -15,6 +15,22 @@
 //! | [`TopKQuery`] | [`point_estimate`](Sampled::point_estimate), [`top_k`](Sampled::top_k) | `f̂ = f′/p`, binomial thinning variance |
 //! | [`DistinctQuery`] | [`distinct_estimate`](Sampled::distinct_estimate) | frequency-domain plug-in (see below) |
 //! | [`QuantileQuery`] | [`quantile`](Sampled::quantile), [`quantile_bounds`](Sampled::quantile_bounds) | identity, with widened rank error |
+//!
+//! For join sketches the `|F′|` in the self-join correction is the number
+//! of kept tuples — known exactly, which is why Bernoulli sampling
+//! composes so cleanly with sketching ("the size of the sample is unknown
+//! prior to running the process. This is not a problem anymore when the
+//! sample is sketched"). `Sampled<JoinSketch>` is the paper's load
+//! shedder: `Sampled::new(schema.sketch(), p, &mut rng)`. The former
+//! per-summary front ends no longer resolve:
+//!
+//! ```compile_fail
+//! use sss_core::LoadSheddingSketcher; // removed: use `Sampled<JoinSketch>`
+//! ```
+//!
+//! ```compile_fail
+//! use sss_core::SampledTopK; // removed: use `Sampled<S>`
+//! ```
 //!
 //! Because `Sampled<S>` itself implements [`Summary`], it rides the
 //! sharded runtime like any other summary: sampling happens *inside the
@@ -62,7 +78,6 @@
 //! and callers are pointed at the rank-based bounds.
 
 use crate::error::{Error, Result};
-use crate::shedding::{bernoulli_self_join, skip_sample_batch};
 use crate::summary::{DistinctQuery, JoinQuery, QuantileQuery, Summary, TopKQuery};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -151,8 +166,7 @@ impl<S: Summary> Sampled<S> {
     /// Wrap an empty summary with inclusion probability `p ∈ (0, 1]`.
     ///
     /// `p = 1` degenerates to feeding the summary directly (every tuple
-    /// kept, sampling variance identically zero), which is how the
-    /// unsampled engine paths reuse this type.
+    /// kept, sampling variance identically zero).
     ///
     /// # Errors
     ///
@@ -433,6 +447,70 @@ impl<S: Summary + QuantileQuery> Sampled<S> {
     }
 }
 
+/// The Proposition 14 self-join correction, shared by every Bernoulli
+/// estimator in the workspace: the unbiased full-stream self-join estimate
+/// from the raw sketch estimate of a Bernoulli(`p`) sample in which `kept`
+/// tuples were retained:
+///
+/// ```text
+/// X = (1/p²)·S² − ((1−p)/p²)·|F′|
+/// ```
+///
+/// Keeping this in one place guarantees [`Sampled`], the epoch shedder
+/// and the epoch compaction diagonals all apply the exact same formula.
+#[inline]
+pub fn bernoulli_self_join(raw_self_join: f64, p: f64, kept: u64) -> f64 {
+    let p2 = p * p;
+    raw_self_join / p2 - (1.0 - p) / p2 * kept as f64
+}
+
+/// The skip-sampled batch kernel shared by every Bernoulli shedder in the
+/// crate ([`Sampled::feed_batch`] and [`crate::EpochShedder::feed_batch`]):
+/// walk the batch by geometric gaps, stack-buffer the kept keys, and flush
+/// them through the summary's batched update kernel (for the join sketches,
+/// the runtime-dispatched `sss_xi` row kernels). Returns how many keys were
+/// kept.
+///
+/// Bit-identical to the per-tuple `observe` loop: gaps are consumed in the
+/// same order (one draw per kept tuple) and `update_batch` shares the
+/// scalar path's counter state exactly. Skipped tuples cost a pointer jump
+/// instead of a per-tuple branch.
+pub(crate) fn skip_sample_batch<S: crate::summary::Summary>(
+    sketch: &mut S,
+    skip: &mut GeometricSkip<StdRng>,
+    gap: &mut u64,
+    keys: &[u64],
+) -> u64 {
+    const CHUNK: usize = 256;
+    let mut kept_keys = [0u64; CHUNK];
+    let mut fill = 0usize;
+    let mut kept_now = 0u64;
+    let mut pos = 0u64;
+    let n = keys.len() as u64;
+    loop {
+        let remaining = n - pos;
+        if *gap >= remaining {
+            // The rest of the batch is skipped outright.
+            *gap -= remaining;
+            break;
+        }
+        pos += *gap;
+        kept_keys[fill] = keys[pos as usize];
+        fill += 1;
+        kept_now += 1;
+        if fill == CHUNK {
+            sketch.update_batch(&kept_keys);
+            fill = 0;
+        }
+        *gap = skip.next_gap();
+        pos += 1;
+    }
+    if fill > 0 {
+        sketch.update_batch(&kept_keys[..fill]);
+    }
+    kept_now
+}
+
 /// The homogeneous-frequency F₀ correction shared by
 /// [`Sampled::distinct_estimate`] and the multi-summary drivers.
 ///
@@ -490,6 +568,7 @@ pub fn bernoulli_distinct_estimate(raw: Estimate, p: f64, kept: u64) -> Estimate
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sketch::JoinSchema;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sss_sketch::topk::HeavyHitters;
@@ -623,26 +702,102 @@ mod tests {
         );
     }
 
-    /// The generic join corrections agree bit-for-bit with the dedicated
-    /// `LoadSheddingSketcher` driver on the same sample (same kernel, same
-    /// formulas — the lens is a pure generalization).
+    /// Size of join with a different inclusion probability on each side
+    /// (Proposition 13 scales by `1/(p·q)`).
     #[test]
-    fn join_corrections_match_the_dedicated_shedder() {
-        use crate::sketch::JoinSchema;
-        let mut r1 = rng(21);
-        let mut r2 = rng(21);
-        let schema = JoinSchema::fagms(3, 512, &mut StdRng::seed_from_u64(5));
-        let mut lens = Sampled::new(schema.sketch(), 0.2, &mut r1).unwrap();
-        let mut shed = crate::LoadSheddingSketcher::new(&schema, 0.2, &mut r2).unwrap();
-        let keys = skewed_stream();
-        lens.feed_batch(&keys);
-        shed.feed_batch(&keys);
-        assert_eq!(lens.kept(), shed.kept());
-        assert_eq!(lens.self_join().to_bits(), shed.self_join().to_bits());
-        let a = lens.self_join_estimate();
-        let b = shed.self_join_estimate();
-        assert_eq!(a.value.to_bits(), b.value.to_bits());
-        assert_eq!(a.variance.to_bits(), b.variance.to_bits());
+    fn size_of_join_with_asymmetric_probabilities() {
+        let mut r = rng(5);
+        let schema = JoinSchema::fagms(1, 4096, &mut r);
+        let mut f = Sampled::new(schema.sketch(), 0.5, &mut r).unwrap();
+        let mut g = Sampled::new(schema.sketch(), 0.25, &mut r).unwrap();
+        // F: keys 0..1000 ×100; G: keys 500..1500 ×80. Overlap 500 keys.
+        for _ in 0..100 {
+            for k in 0..1000u64 {
+                f.observe(k);
+            }
+        }
+        for _ in 0..80 {
+            for k in 500..1500u64 {
+                g.observe(k);
+            }
+        }
+        let truth = 500.0 * 100.0 * 80.0;
+        let est = f.size_of_join(&g).unwrap();
+        assert!(
+            (est - truth).abs() / truth < 0.2,
+            "est = {est}, truth = {truth}"
+        );
+    }
+
+    #[test]
+    fn join_requires_shared_schema() {
+        let mut r = rng(6);
+        let s1 = JoinSchema::fagms(1, 64, &mut r);
+        let s2 = JoinSchema::fagms(1, 64, &mut r);
+        let f = Sampled::new(s1.sketch(), 0.5, &mut r).unwrap();
+        let g = Sampled::new(s2.sketch(), 0.5, &mut r).unwrap();
+        assert!(f.size_of_join(&g).is_err());
+        assert!(f.size_of_join_estimate(&g).is_err());
+    }
+
+    /// Unbiasedness of the Proposition 14 self-join correction at a small
+    /// p: average many independent runs.
+    #[test]
+    fn self_join_is_unbiased_at_small_p() {
+        let mut r = rng(7);
+        let truth: f64 = (1..=40u64).map(|f| (f * f) as f64).sum();
+        let reps = 400;
+        let mut acc = 0.0;
+        for _ in 0..reps {
+            let schema = JoinSchema::agms(16, &mut r);
+            let mut shed = Sampled::new(schema.sketch(), 0.3, &mut r).unwrap();
+            for key in 0..40u64 {
+                for _ in 0..=key {
+                    shed.observe(key);
+                }
+            }
+            acc += shed.self_join();
+        }
+        let mean = acc / reps as f64;
+        assert!(
+            (mean - truth).abs() / truth < 0.1,
+            "mean = {mean}, truth = {truth}"
+        );
+    }
+
+    /// The typed join estimates return the scalar queries' values bit for
+    /// bit and decompose the variance into sketch + sampling parts.
+    #[test]
+    fn typed_join_estimates_decompose_the_variance() {
+        let mut r = rng(21);
+        let schema = JoinSchema::agms(32, &mut r);
+        let mut shed = Sampled::new(schema.sketch(), 0.4, &mut r).unwrap();
+        let mut full = Sampled::new(schema.sketch(), 1.0, &mut r).unwrap();
+        for k in 0..30_000u64 {
+            shed.observe(k % 200);
+            full.observe(k % 200);
+        }
+        let e = shed.self_join_estimate();
+        assert_eq!(e.value.to_bits(), shed.self_join().to_bits());
+        assert_eq!(e.basics.len(), 32);
+        assert!(e.variance.is_finite() && e.variance > 0.0);
+        // An unshedded estimator has no sampling noise: its variance is
+        // pure sketch spread, strictly below the shedded one's on the same
+        // stream (the 1/p⁴ scaling plus the sampling term).
+        let ef = full.self_join_estimate();
+        assert_eq!(ef.value.to_bits(), full.self_join().to_bits());
+        assert_eq!(ef.value.to_bits(), full.summary().raw_self_join().to_bits());
+        assert!(ef.variance < e.variance);
+
+        let ej = shed.size_of_join_estimate(&full).unwrap();
+        assert_eq!(
+            ej.value.to_bits(),
+            shed.size_of_join(&full).unwrap().to_bits()
+        );
+        assert!(ej.variance.is_finite());
+        // The interval machinery is reachable end to end.
+        assert!(e.chebyshev(0.95).unwrap().contains(e.value));
+        assert!(e.clt(0.95).unwrap().half_width() < e.chebyshev(0.95).unwrap().half_width());
     }
 
     #[test]

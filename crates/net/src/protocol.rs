@@ -313,11 +313,9 @@ pub fn parse_query_line(line: &str) -> Result<QueryRequest, String> {
         let after_quote = rest
             .strip_prefix('"')
             .ok_or_else(|| format!("expected a quoted key at: {rest:.20}"))?;
-        let key_end = after_quote
-            .find('"')
-            .ok_or_else(|| "unterminated key".to_string())?;
-        let key = &after_quote[..key_end];
-        let after_key = after_quote[key_end + 1..].trim_start();
+        let (key, after_key) = take_json_string(after_quote)?;
+        let key = key.as_str();
+        let after_key = after_key.trim_start();
         let mut value_part = after_key
             .strip_prefix(':')
             .ok_or_else(|| format!("missing ':' after key {key:?}"))?
@@ -325,17 +323,15 @@ pub fn parse_query_line(line: &str) -> Result<QueryRequest, String> {
         // Value: a quoted string or a bare JSON scalar up to the next
         // top-level comma (requests have no nested containers).
         if let Some(after) = value_part.strip_prefix('"') {
-            let end = after
-                .find('"')
-                .ok_or_else(|| format!("unterminated string value for {key:?}"))?;
+            let (value, after_value) = take_json_string(after)?;
             match key {
-                "cmd" => req.cmd = after[..end].to_string(),
+                "cmd" => req.cmd = value,
                 "q" | "k" | "confidence" => {
                     return Err(format!("key {key:?} needs a number, got a string"))
                 }
                 _ => {}
             }
-            value_part = after[end + 1..].trim_start();
+            value_part = after_value.trim_start();
         } else {
             let end = value_part.find(',').unwrap_or(value_part.len());
             let token = value_part[..end].trim();
@@ -368,6 +364,60 @@ pub fn parse_query_line(line: &str) -> Result<QueryRequest, String> {
         return Err("request has no \"cmd\" field".to_string());
     }
     Ok(req)
+}
+
+/// Decode a JSON string whose opening quote is already consumed: returns
+/// the unescaped contents and the text after the closing quote. Honours
+/// every JSON escape (`\"`, `\\`, `\/`, `\b`, `\f`, `\n`, `\r`, `\t`,
+/// `\uXXXX` including surrogate pairs) and rejects raw control
+/// characters, as JSON requires.
+fn take_json_string(s: &str) -> Result<(String, &str), String> {
+    fn hex4(chars: &mut std::str::CharIndices<'_>) -> Result<u32, String> {
+        let mut v = 0;
+        for _ in 0..4 {
+            let (_, c) = chars.next().ok_or("truncated \\u escape")?;
+            v = v * 16 + c.to_digit(16).ok_or("non-hex digit in \\u escape")?;
+        }
+        Ok(v)
+    }
+    let mut out = String::new();
+    let mut chars = s.char_indices();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => return Ok((out, &s[i + 1..])),
+            '\\' => {
+                let (_, e) = chars.next().ok_or("unterminated string")?;
+                out.push(match e {
+                    '"' | '\\' | '/' => e,
+                    'b' => '\u{8}',
+                    'f' => '\u{c}',
+                    'n' => '\n',
+                    'r' => '\r',
+                    't' => '\t',
+                    'u' => {
+                        let hi = hex4(&mut chars)?;
+                        let code = if (0xD800..0xDC00).contains(&hi) {
+                            let lo = match (chars.next(), chars.next()) {
+                                (Some((_, '\\')), Some((_, 'u'))) => hex4(&mut chars)?,
+                                _ => return Err("unpaired surrogate in \\u escape".into()),
+                            };
+                            if !(0xDC00..0xE000).contains(&lo) {
+                                return Err("unpaired surrogate in \\u escape".into());
+                            }
+                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                        } else {
+                            hi
+                        };
+                        char::from_u32(code).ok_or("unpaired surrogate in \\u escape")?
+                    }
+                    other => return Err(format!("invalid escape \\{other}")),
+                });
+            }
+            c if c < ' ' => return Err("raw control character in a string".into()),
+            c => out.push(c),
+        }
+    }
+    Err("unterminated string".into())
 }
 
 /// Extract a numeric field from a flat JSON response line — the client
@@ -488,6 +538,12 @@ mod tests {
         assert_eq!(req.k, Some(10));
         assert_eq!(req.confidence, Some(0.99));
 
+        // String escapes decode instead of cutting the value short.
+        let req = parse_query_line(r#"{"c\u006Ad":"a\"b\\\n\ud83d\ude00","cmd":"stats"}"#).unwrap();
+        assert_eq!(req.cmd, "stats");
+        let req = parse_query_line(r#"{"cmd":"to\u0070k\"x"}"#).unwrap();
+        assert_eq!(req.cmd, "topk\"x");
+
         for bad in [
             "",
             "not json",
@@ -496,6 +552,10 @@ mod tests {
             r#"{"cmd":}"#,
             r#"{"cmd":"x" junk}"#,
             r#"{"cmd":"x","q":"not a number"}"#,
+            r#"{"cmd":"x\"}"#,
+            r#"{"cmd":"\x"}"#,
+            r#"{"cmd":"\ud800"}"#,
+            "{\"cmd\":\"a\u{1}b\"}",
         ] {
             assert!(parse_query_line(bad).is_err(), "{bad:?} should not parse");
         }

@@ -835,6 +835,24 @@ fn json_num(v: f64) -> String {
     }
 }
 
+/// `{"ok":false,"error":"…"}` with `message` escaped as a JSON string:
+/// quotes, backslashes and every control character (which Rust's `{:?}`
+/// would render as the non-JSON `\u{1}`) become JSON escapes, so the
+/// reply is valid JSON and stays on one line.
+fn error_reply(message: &str) -> String {
+    let mut out = String::from("{\"ok\":false,\"error\":\"");
+    for c in message.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push_str("\"}");
+    out
+}
+
 /// Append `"name":value,"name_bits":bits` for an exact-round-trip
 /// float field.
 fn push_f64_field(out: &mut String, name: &str, value: f64) {
@@ -855,7 +873,7 @@ fn answer_query(
 ) -> String {
     let req = match protocol::parse_query_line(line) {
         Ok(req) => req,
-        Err(e) => return format!("{{\"ok\":false,\"error\":{e:?}}}"),
+        Err(e) => return error_reply(&e),
     };
     let result: std::result::Result<String, String> = match req.cmd.as_str() {
         "self_join" => replica
@@ -950,7 +968,7 @@ fn answer_query(
     };
     match result {
         Ok(json) => json,
-        Err(e) => format!("{{\"ok\":false,\"error\":{e:?}}}"),
+        Err(e) => error_reply(&e),
     }
 }
 

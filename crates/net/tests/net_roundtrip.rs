@@ -397,3 +397,207 @@ proptest! {
         let _ = reader.finish();
     }
 }
+
+/// Fragments that stress the query parser's string handling: escapes
+/// (valid, truncated and unpaired), raw control and non-ASCII characters,
+/// and the structural bytes of a flat object.
+const FRAGMENTS: [&str; 18] = [
+    "\\", "\"", "\\\"", "\\u", "d83d", "\\ude00", "\\u0041", "\u{1}", "\u{7f}", "é", "a", ",", ":",
+    "}", "{", " ", "\\n", "0.5",
+];
+
+/// One request line: raw bytes, or a flat object whose key and string
+/// value are spliced from [`FRAGMENTS`]. Never contains a newline.
+fn query_line() -> impl Strategy<Value = Vec<u8>> {
+    let fragments = || prop::collection::vec(0..FRAGMENTS.len(), 0..8);
+    (
+        any::<bool>(),
+        prop::collection::vec(any::<u8>(), 0..48),
+        fragments(),
+        fragments(),
+    )
+        .prop_map(|(raw, bytes, key, value)| {
+            let line = if raw {
+                bytes
+            } else {
+                let splice =
+                    |ix: Vec<usize>| ix.into_iter().map(|i| FRAGMENTS[i]).collect::<String>();
+                format!("{{\"{}\":\"{}\"}}", splice(key), splice(value)).into_bytes()
+            };
+            line.into_iter()
+                .filter(|&b| b != b'\n')
+                .collect::<Vec<u8>>()
+        })
+        .prop_filter("must not stop the server", |line| {
+            protocol::parse_query_line(&String::from_utf8_lossy(line))
+                .map_or(true, |req| req.cmd != "shutdown")
+        })
+}
+
+/// A strict RFC 8259 validator, local to the tests so the server's own
+/// JSON code cannot vouch for itself: true iff `text` is exactly one
+/// JSON value.
+fn is_strict_json(text: &str) -> bool {
+    struct Parser<'a>(&'a [u8], usize);
+    impl Parser<'_> {
+        fn peek(&self) -> Option<u8> {
+            self.0.get(self.1).copied()
+        }
+        fn eat(&mut self, c: u8) -> bool {
+            let hit = self.peek() == Some(c);
+            self.1 += usize::from(hit);
+            hit
+        }
+        fn ws(&mut self) {
+            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                self.1 += 1;
+            }
+        }
+        fn digits(&mut self) -> bool {
+            let start = self.1;
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.1 += 1;
+            }
+            self.1 > start
+        }
+        fn string(&mut self) -> bool {
+            if !self.eat(b'"') {
+                return false;
+            }
+            while let Some(c) = self.peek() {
+                self.1 += 1;
+                match c {
+                    b'"' => return true,
+                    b'\\' if self.eat(b'u') => {
+                        for _ in 0..4 {
+                            if !self.peek().is_some_and(|h| h.is_ascii_hexdigit()) {
+                                return false;
+                            }
+                            self.1 += 1;
+                        }
+                    }
+                    b'\\' if !b"\"\\/bfnrt".iter().any(|&e| self.eat(e)) => return false,
+                    0..=0x1f => return false,
+                    _ => {}
+                }
+            }
+            false
+        }
+        /// The items of an object or array up to `close`.
+        fn items(&mut self, close: u8, item: fn(&mut Self) -> bool) -> bool {
+            self.ws();
+            if self.eat(close) {
+                return true;
+            }
+            loop {
+                if !item(self) {
+                    return false;
+                }
+                self.ws();
+                if self.eat(close) {
+                    return true;
+                }
+                if !self.eat(b',') {
+                    return false;
+                }
+            }
+        }
+        fn value(&mut self) -> bool {
+            self.ws();
+            let literal = [&b"true"[..], b"false", b"null"]
+                .into_iter()
+                .find(|lit| self.0[self.1..].starts_with(lit));
+            let ok = if let Some(lit) = literal {
+                self.1 += lit.len();
+                true
+            } else if self.eat(b'{') {
+                self.items(b'}', |p| {
+                    p.ws();
+                    p.string()
+                        && {
+                            p.ws();
+                            p.eat(b':')
+                        }
+                        && p.value()
+                })
+            } else if self.eat(b'[') {
+                self.items(b']', Self::value)
+            } else if self.peek() == Some(b'"') {
+                self.string()
+            } else {
+                self.eat(b'-');
+                (self.eat(b'0') || self.digits())
+                    && (!self.eat(b'.') || self.digits())
+                    && (!(self.eat(b'e') || self.eat(b'E')) || {
+                        let _ = self.eat(b'+') || self.eat(b'-');
+                        self.digits()
+                    })
+            };
+            self.ws();
+            ok
+        }
+    }
+    let mut parser = Parser(text.as_bytes(), 0);
+    parser.value() && parser.1 == text.len()
+}
+
+#[test]
+fn strict_json_checker_rejects_rust_debug_escapes() {
+    for good in [
+        r#"{"ok":false,"error":"bad \"x\" \\ \u0001"}"#,
+        r#"{"a":[1,-2.5e+3,0.25,true,false,null,{}],"b":[]}"#,
+        "\"é\"",
+    ] {
+        assert!(is_strict_json(good), "{good}");
+    }
+    for bad in [
+        // Rust's `{:?}` escape for a control byte is not JSON.
+        r#"{"ok":false,"error":"bad \u{1}"}"#,
+        "{\"error\":\"raw \u{1}\"}",
+        r#"{"a":01}"#,
+        r#"{"a":1,}"#,
+        r#"{"a":1} x"#,
+        r#"{"a":.5}"#,
+        "",
+    ] {
+        assert!(!is_strict_json(bad), "{bad}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Hostile bytes on the query plane: every request line, whatever its
+    /// bytes, gets exactly one reply line, and that line is valid UTF-8
+    /// and strict JSON. A `stats` sentinel after each line proves no
+    /// request produced a second line or swallowed the next one.
+    #[test]
+    fn any_query_line_gets_exactly_one_valid_json_reply(
+        lines in prop::collection::vec(query_line(), 1..12),
+    ) {
+        let srv = server(21, 1, Partition::RoundRobin);
+        let stream = TcpStream::connect(srv.query_addr()).unwrap();
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = std::io::BufReader::new(stream);
+        let mut read_line = || {
+            let mut reply = Vec::new();
+            std::io::BufRead::read_until(&mut reader, b'\n', &mut reply).unwrap();
+            assert_eq!(reply.pop(), Some(b'\n'), "reply line must be terminated");
+            String::from_utf8(reply).expect("reply is UTF-8")
+        };
+        for line in &lines {
+            writer.write_all(line).unwrap();
+            writer.write_all(b"\n{\"cmd\":\"stats\"}\n").unwrap();
+            let reply = read_line();
+            prop_assert!(is_strict_json(&reply), "{:?} -> {reply:?}", String::from_utf8_lossy(line));
+            let sentinel = read_line();
+            prop_assert!(
+                sentinel.starts_with("{\"ok\":true,\"cmd\":\"stats\""),
+                "{:?} -> extra line {sentinel:?}",
+                String::from_utf8_lossy(line)
+            );
+        }
+        srv.shutdown_and_wait().unwrap();
+    }
+}

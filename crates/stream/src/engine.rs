@@ -41,8 +41,7 @@ use crate::runtime::{Partition, RuntimeConfig, ShardedRuntime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sss_core::sketch::{JoinSchema, JoinSketch};
-use sss_core::{DistinctQuery, EpochShedder, Estimate, QuantileQuery, Result, Sampled, Summary};
-use sss_sketch::{CountSketchTopK, FagmsSchema, HyperLogLog, KllSketch};
+use sss_core::{EpochShedder, Estimate, Result, Summary};
 
 /// A stateless per-tuple transform (function pointers keep the engine
 /// `Debug` and the stages trivially serializable in spirit).
@@ -82,10 +81,9 @@ struct ShedPath {
 /// [`sss_core::Sampled`] front end…), or — for the
 /// backend-erased default `JoinSketch` — [`schema`](EngineBuilder::schema),
 /// which additionally unlocks [`shedding`](EngineBuilder::shedding) (the
-/// shedder mathematics lives on `JoinSketch`). Side summaries for other
-/// query families ride along via [`top_k`](EngineBuilder::top_k),
-/// [`distinct`](EngineBuilder::distinct), and
-/// [`quantiles`](EngineBuilder::quantiles).
+/// shedder mathematics lives on `JoinSketch`). Top-k, distinct and
+/// quantile queries come from a `MultiSummary` prototype
+/// (`.summary(spec.summary()?)`), answered by [`StreamEngine::merged`].
 ///
 /// ```
 /// use rand::SeedableRng;
@@ -112,9 +110,6 @@ pub struct EngineBuilder<E: Summary = JoinSketch> {
     prototype: Option<E>,
     schema: Option<JoinSchema>,
     shedding: Option<ControllerConfig>,
-    top_k: Option<usize>,
-    distinct: Option<u8>,
-    quantiles: Option<usize>,
     seed: u64,
 }
 
@@ -128,9 +123,6 @@ impl<E: Summary> EngineBuilder<E> {
             prototype: None,
             schema: None,
             shedding: None,
-            top_k: None,
-            distinct: None,
-            quantiles: None,
             seed: 0x5353_5f73_6861_7264, // arbitrary fixed default
         }
     }
@@ -179,58 +171,12 @@ impl<E: Summary> EngineBuilder<E> {
         self
     }
 
-    /// Deprecated name for [`summary`](Self::summary) from when the
-    /// engine was join-only.
-    #[deprecated(since = "0.1.0", note = "renamed to `EngineBuilder::summary`")]
-    pub fn estimator(self, prototype: E) -> Self {
-        self.summary(prototype)
-    }
-
-    /// Maintain a Count-Sketch heavy-hitter summary alongside the join
-    /// estimator, unlocking [`StreamEngine::top_k`]. `k` is the number of
-    /// heavy keys the engine must be able to report; the summary tracks a
-    /// larger candidate set (4·k, at least 64) over its own 5×2048
-    /// Count-Sketch so near-boundary keys are not evicted prematurely.
-    ///
-    /// The summary sees the full post-transform stream — including tuples
-    /// the overflow shedder would down-sample for the *join* estimate —
-    /// so top-k answers are exact-stream summaries with sketch error bars
-    /// (memory stays O(k + sketch), independent of the stream).
-    pub fn top_k(mut self, k: usize) -> Self {
-        self.top_k = Some(k);
-        self
-    }
-
-    /// Maintain a HyperLogLog cardinality summary alongside the main
-    /// summary, unlocking [`StreamEngine::distinct`]. `precision` is the
-    /// log₂ register count (4..=18); the relative standard error is
-    /// `1.04 / √2^precision` (precision 12 → ±1.6% in 4 KiB).
-    ///
-    /// Like the top-k side, the counter sees the full post-transform
-    /// stream — including tuples the overflow shedder down-samples for
-    /// the join estimate — so distinct counts are exact-stream summaries.
-    pub fn distinct(mut self, precision: u8) -> Self {
-        self.distinct = Some(precision);
-        self
-    }
-
-    /// Maintain a KLL rank summary alongside the main summary, unlocking
-    /// [`StreamEngine::quantile`]. `k` is the accuracy parameter (≥ 8);
-    /// the uniform rank error is ≈ `2.296 / k^0.9433` (k = 200 → ±1.6%).
-    ///
-    /// Sees the full post-transform stream, like the other side
-    /// summaries.
-    pub fn quantiles(mut self, k: usize) -> Self {
-        self.quantiles = Some(k);
-        self
-    }
-
     /// Spawn the runtime and finish the engine.
     ///
     /// # Errors
     ///
     /// [`StreamError::MissingEstimator`] if neither
-    /// [`estimator`](Self::estimator) nor [`schema`](Self::schema) was
+    /// [`summary`](Self::summary) nor [`schema`](Self::schema) was
     /// called; [`StreamError::InvalidConfig`] for degenerate shard/queue
     /// settings or shedding without a schema.
     pub fn build(self) -> StreamResult<StreamEngine<E>> {
@@ -273,54 +219,12 @@ impl<E: Summary> EngineBuilder<E> {
                 })
             }
         };
-        let topk = match self.top_k {
-            None => None,
-            Some(0) => {
-                return Err(StreamError::InvalidConfig {
-                    parameter: "top_k",
-                    value: 0,
-                    reason: "must be at least 1",
-                })
-            }
-            Some(k) => {
-                // The heavy-hitter summary is an independent query over
-                // the same stream: its Count-Sketch draws its own seeds
-                // (derived from the engine seed, so runs reproduce) and
-                // does not need to share the join schema's.
-                let mut rng = StdRng::seed_from_u64(self.seed ^ 0x746f_706b);
-                let schema = FagmsSchema::new(5, 2048, &mut rng);
-                let summary = CountSketchTopK::new(&schema, (4 * k).max(64))
-                    .map_err(|e| StreamError::Estimator(e.into()))?;
-                // p = 1: the engine feeds every post-transform tuple; the
-                // Sampled wrapper only supplies the typed query path.
-                Some(Sampled::new(summary, 1.0, &mut rng).map_err(StreamError::Estimator)?)
-            }
-        };
-        let distinct = match self.distinct {
-            None => None,
-            // Seeds derive from the engine seed so runs reproduce; the
-            // xor tags keep the side summaries independent of each other.
-            Some(precision) => Some(
-                HyperLogLog::with_seed(precision, self.seed ^ 0x6466_3066_4630)
-                    .map_err(|e| StreamError::Estimator(e.into()))?,
-            ),
-        };
-        let quantiles = match self.quantiles {
-            None => None,
-            Some(k) => Some(
-                KllSketch::with_seed(k, self.seed ^ 0x6b6c_6c71)
-                    .map_err(|e| StreamError::Estimator(e.into()))?,
-            ),
-        };
         let runtime = ShardedRuntime::new(self.config, &prototype)?;
         Ok(StreamEngine {
             transforms: self.transforms,
             stats,
             runtime,
             shed,
-            topk,
-            distinct,
-            quantiles,
             scratch: Vec::new(),
             overflow: Vec::new(),
         })
@@ -353,17 +257,14 @@ impl<E: Summary> Default for EngineBuilder<E> {
     }
 }
 
-/// The running engine: transform chain, sharded runtime, optional
-/// overflow shedder and side summaries. Built by [`EngineBuilder`].
+/// The running engine: transform chain, sharded runtime and optional
+/// overflow shedder. Built by [`EngineBuilder`].
 #[derive(Debug)]
 pub struct StreamEngine<E: Summary = JoinSketch> {
     transforms: Vec<(String, Transform)>,
     stats: Vec<StageStats>,
     runtime: ShardedRuntime<E>,
     shed: Option<ShedPath>,
-    topk: Option<Sampled<CountSketchTopK>>,
-    distinct: Option<HyperLogLog>,
-    quantiles: Option<KllSketch>,
     scratch: Vec<u64>,
     overflow: Vec<u64>,
 }
@@ -397,18 +298,6 @@ impl<E: Summary> StreamEngine<E> {
             self.stats[i].tuples_out += self.scratch.len() as u64;
         }
         let n = self.scratch.len() as u64;
-        // The side summaries see the whole post-transform stream — both
-        // the tuples the runtime accepts and any overflow the shedder
-        // will down-sample for the join estimate.
-        if let Some(topk) = &mut self.topk {
-            topk.feed_batch(&self.scratch);
-        }
-        if let Some(distinct) = &mut self.distinct {
-            distinct.insert_batch(&self.scratch);
-        }
-        if let Some(quantiles) = &mut self.quantiles {
-            quantiles.insert_batch(&self.scratch);
-        }
         let runtime_stage = self.transforms.len();
         self.stats[runtime_stage].tuples_in += n;
         match &mut self.shed {
@@ -491,113 +380,6 @@ impl<E: Summary> StreamEngine<E> {
     /// The number of shard workers.
     pub fn shards(&self) -> usize {
         self.runtime.shards()
-    }
-
-    /// The `k` heaviest post-transform keys with typed frequency
-    /// estimates, heaviest first (ties toward the smaller key). The error
-    /// bars carry the Count-Sketch point-query noise; the engine feeds
-    /// the summary at full rate, so there is no sampling term.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::TopKDisabled`] if the engine was built without
-    /// [`EngineBuilder::top_k`].
-    pub fn top_k(&self, k: usize) -> StreamResult<Vec<(u64, Estimate)>> {
-        self.topk
-            .as_ref()
-            .map(|t| t.top_k(k))
-            .ok_or(StreamError::TopKDisabled)
-    }
-
-    /// Typed frequency estimate for one post-transform key (any key, not
-    /// only the current candidates), from the same summary as
-    /// [`StreamEngine::top_k`].
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::TopKDisabled`] if the engine was built without
-    /// [`EngineBuilder::top_k`].
-    pub fn key_frequency(&self, key: u64) -> StreamResult<Estimate> {
-        self.topk
-            .as_ref()
-            .map(|t| t.point_estimate(key))
-            .ok_or(StreamError::TopKDisabled)
-    }
-
-    /// The number of distinct post-transform keys seen so far (point
-    /// estimate; the engine feeds the counter at full rate).
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::DistinctDisabled`] if the engine was built without
-    /// [`EngineBuilder::distinct`].
-    pub fn distinct(&self) -> StreamResult<f64> {
-        self.distinct
-            .as_ref()
-            .map(DistinctQuery::distinct)
-            .ok_or(StreamError::DistinctDisabled)
-    }
-
-    /// Typed counterpart of [`StreamEngine::distinct`]: the same value
-    /// with the HyperLogLog standard-error model as variance, so
-    /// [`Estimate::interval`] works.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::DistinctDisabled`] if the engine was built without
-    /// [`EngineBuilder::distinct`].
-    pub fn distinct_estimate(&self) -> StreamResult<Estimate> {
-        self.distinct
-            .as_ref()
-            .map(DistinctQuery::distinct_estimate)
-            .ok_or(StreamError::DistinctDisabled)
-    }
-
-    /// The value at quantile `q ∈ [0, 1]` of the post-transform key
-    /// stream (`q = 0.5` is the median).
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::QuantilesDisabled`] if the engine was built without
-    /// [`EngineBuilder::quantiles`]; an estimator error for `q` outside
-    /// `[0, 1]` or an empty stream.
-    pub fn quantile(&self, q: f64) -> StreamResult<f64> {
-        let kll = self
-            .quantiles
-            .as_ref()
-            .ok_or(StreamError::QuantilesDisabled)?;
-        QuantileQuery::quantile(kll, q).map_err(StreamError::Estimator)
-    }
-
-    /// Values at the rank band `q ∓ rank_error` — deterministic envelope
-    /// bounds for [`StreamEngine::quantile`] (the KLL guarantee is on
-    /// ranks, so the honest error statement is a value interval, not a
-    /// variance).
-    ///
-    /// # Errors
-    ///
-    /// As for [`StreamEngine::quantile`].
-    pub fn quantile_bounds(&self, q: f64) -> StreamResult<(f64, f64)> {
-        let kll = self
-            .quantiles
-            .as_ref()
-            .ok_or(StreamError::QuantilesDisabled)?;
-        QuantileQuery::quantile_bounds(kll, q).map_err(StreamError::Estimator)
-    }
-
-    /// The fraction of post-transform keys strictly below `value` (the
-    /// inverse query of [`StreamEngine::quantile`]), accurate to the
-    /// summary's uniform rank error.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::QuantilesDisabled`] if the engine was built without
-    /// [`EngineBuilder::quantiles`].
-    pub fn rank(&self, value: u64) -> StreamResult<f64> {
-        self.quantiles
-            .as_ref()
-            .map(|kll| QuantileQuery::rank(kll, value))
-            .ok_or(StreamError::QuantilesDisabled)
     }
 
     /// Shut down the workers and return the merged runtime estimator
@@ -916,7 +698,7 @@ mod tests {
     }
 
     /// A generic estimator (typed F-AGMS, not the erased enum) drives the
-    /// same engine through `.estimator(…)`.
+    /// same engine through `.summary(…)`.
     #[test]
     fn engine_is_generic_over_the_estimator() {
         let mut rng = StdRng::seed_from_u64(4);
@@ -1110,131 +892,6 @@ mod tests {
             "epochs {} exceed grid bound {bound}",
             shedder.epoch_count()
         );
-    }
-
-    /// The engine's top-k surface: heavy keys of the post-transform
-    /// stream come back ranked with coherent error bars, any-key point
-    /// queries work, and engines built without `.top_k(…)` answer with
-    /// the typed `TopKDisabled` error instead of a panic.
-    #[test]
-    fn top_k_reports_post_transform_heavy_hitters() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let schema = JoinSchema::fagms(1, 1024, &mut rng);
-        let mut e = EngineBuilder::new()
-            .filter("evens", is_even)
-            .map("halve", halve)
-            .shards(2)
-            .schema(&schema)
-            .top_k(5)
-            .build()
-            .unwrap();
-        // Post-transform frequencies: key k (0..8) appears 2^(8-k) · 32
-        // times; odd pre-images are filtered out.
-        let mut batch = Vec::new();
-        for k in 0..8u64 {
-            for _ in 0..(1u64 << (8 - k)) * 32 {
-                batch.push(2 * k); // even pre-image, halves to k
-                batch.push(2 * k + 1); // odd pre-image, filtered
-            }
-        }
-        for chunk in batch.chunks(997) {
-            e.push_batch(chunk, 1e-3).unwrap();
-        }
-        let top = e.top_k(3).unwrap();
-        assert_eq!(top.len(), 3);
-        assert_eq!(top[0].0, 0, "heaviest post-transform key");
-        assert_eq!(top[1].0, 1);
-        let truth = (1u64 << 8) as f64 * 32.0;
-        let est = &top[0].1;
-        assert!(
-            (est.value - truth).abs() / truth < 0.1,
-            "est {} truth {truth}",
-            est.value
-        );
-        assert!(est.variance.is_finite() && est.variance >= 0.0);
-        assert!(est.chebyshev(0.95).unwrap().contains(est.value));
-        // Point query for a non-candidate key still answers.
-        let light = e.key_frequency(7).unwrap();
-        assert!((light.value - 32.0).abs() < 5.0 * light.variance.sqrt().max(1.0));
-        // Without `.top_k(…)` the query is a typed error.
-        let plain = EngineBuilder::new().schema(&schema).build().unwrap();
-        assert!(matches!(plain.top_k(3), Err(StreamError::TopKDisabled)));
-        assert!(matches!(
-            plain.key_frequency(0),
-            Err(StreamError::TopKDisabled)
-        ));
-        // And k = 0 is rejected at build time.
-        assert!(matches!(
-            EngineBuilder::new().schema(&schema).top_k(0).build(),
-            Err(StreamError::InvalidConfig {
-                parameter: "top_k",
-                ..
-            })
-        ));
-    }
-
-    /// The distinct / quantile side summaries ride the engine next to
-    /// the join path: full-rate answers near truth, typed errors when
-    /// the sides were not requested, bad geometry rejected at build.
-    #[test]
-    fn distinct_and_quantile_side_summaries() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let schema = JoinSchema::fagms(1, 1024, &mut rng);
-        let mut e = EngineBuilder::new()
-            .filter("evens", is_even)
-            .map("halve", halve)
-            .shards(2)
-            .schema(&schema)
-            .distinct(12)
-            .quantiles(200)
-            .build()
-            .unwrap();
-        // Post-transform stream: 0..3000, 10 times each.
-        for _ in 0..10 {
-            let batch: Vec<u64> = (0..6000u64).collect();
-            e.push_batch(&batch, 1.0).unwrap();
-        }
-        let d = e.distinct().unwrap();
-        assert!((d - 3000.0).abs() / 3000.0 < 0.05, "distinct = {d}");
-        let de = e.distinct_estimate().unwrap();
-        assert_eq!(de.value.to_bits(), d.to_bits());
-        assert!(de.chebyshev(0.99).unwrap().contains(3000.0));
-        let med = e.quantile(0.5).unwrap();
-        assert!((med - 1500.0).abs() < 100.0, "median = {med}");
-        let (lo, hi) = e.quantile_bounds(0.5).unwrap();
-        assert!(lo <= med && med <= hi);
-        let r = e.rank(1500).unwrap();
-        assert!((r - 0.5).abs() < 0.05, "rank = {r}");
-        // Engines built without the sides answer with typed errors.
-        let plain = EngineBuilder::new().schema(&schema).build().unwrap();
-        assert!(matches!(
-            plain.distinct(),
-            Err(StreamError::DistinctDisabled)
-        ));
-        assert!(matches!(
-            plain.distinct_estimate(),
-            Err(StreamError::DistinctDisabled)
-        ));
-        assert!(matches!(
-            plain.quantile(0.5),
-            Err(StreamError::QuantilesDisabled)
-        ));
-        assert!(matches!(
-            plain.quantile_bounds(0.5),
-            Err(StreamError::QuantilesDisabled)
-        ));
-        assert!(matches!(plain.rank(0), Err(StreamError::QuantilesDisabled)));
-        // Bad geometry is a build-time estimator error.
-        assert!(EngineBuilder::new()
-            .schema(&schema)
-            .distinct(3)
-            .build()
-            .is_err());
-        assert!(EngineBuilder::new()
-            .schema(&schema)
-            .quantiles(1)
-            .build()
-            .is_err());
     }
 
     /// The engine is generic over the whole summary hierarchy: a

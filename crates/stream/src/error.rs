@@ -34,15 +34,6 @@ pub enum StreamError {
         /// Index of the dead shard.
         shard: usize,
     },
-    /// A top-k query was issued but the engine was built without
-    /// `.top_k(…)`, so no heavy-hitter summary was maintained.
-    TopKDisabled,
-    /// A distinct-count query was issued but the engine was built without
-    /// `.distinct(…)`, so no cardinality summary was maintained.
-    DistinctDisabled,
-    /// A quantile query was issued but the engine was built without
-    /// `.quantiles(…)`, so no rank summary was maintained.
-    QuantilesDisabled,
 }
 
 impl fmt::Display for StreamError {
@@ -62,27 +53,6 @@ impl fmt::Display for StreamError {
             ),
             StreamError::ShardDisconnected { shard } => {
                 write!(f, "shard worker {shard} disconnected")
-            }
-            StreamError::TopKDisabled => {
-                write!(
-                    f,
-                    "top-k query on an engine built without .top_k(…) — no \
-                     heavy-hitter summary was maintained"
-                )
-            }
-            StreamError::DistinctDisabled => {
-                write!(
-                    f,
-                    "distinct-count query on an engine built without \
-                     .distinct(…) — no cardinality summary was maintained"
-                )
-            }
-            StreamError::QuantilesDisabled => {
-                write!(
-                    f,
-                    "quantile query on an engine built without .quantiles(…) \
-                     — no rank summary was maintained"
-                )
             }
         }
     }

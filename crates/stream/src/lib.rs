@@ -50,7 +50,7 @@ pub use adaptive::{ControllerConfig, RateController};
 pub use engine::{EngineBuilder, StageStats, StreamEngine, Transform};
 pub use error::{Result, StreamError};
 pub use online::{OnlineAggregation, OnlineJoinAggregation, Snapshot};
-pub use parallel::{parallel_shed, parallel_sketch, parallel_sketch_with, ParallelShedResult};
+pub use parallel::{parallel_shed, parallel_sketch, parallel_sketch_with};
 pub use runtime::{Partition, PoolStats, QueryHandle, ReadReplica, RuntimeConfig, ShardedRuntime};
 pub use shedder::{ShedderComparison, ShedderReport};
 pub use snapshot::CacheStats;

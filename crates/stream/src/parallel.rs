@@ -7,20 +7,15 @@
 //! essentially for free"). Bernoulli shedding composes the same way: each
 //! tuple of the union is still kept independently with probability `p`.
 //!
-//! One-shot helpers over the persistent [`ShardedRuntime`]
-//! (`parallel_sketch`, `parallel_sketch_with`) plus the scoped-thread
-//! `parallel_shed`; no extra dependencies.
+//! One-shot helpers over the persistent [`ShardedRuntime`]:
+//! `parallel_sketch`, `parallel_sketch_with` and `parallel_shed`.
 
 use crate::error::Result as StreamResult;
 use crate::runtime::{Partition, RuntimeConfig, ShardedRuntime};
-use crate::throughput::Throughput;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sss_core::sketch::{JoinSchema, JoinSketch};
-use sss_core::{
-    bernoulli_self_join, bernoulli_self_join_estimate, Estimate, JoinQuery, LoadSheddingSketcher,
-    Result, Summary,
-};
+use sss_core::{JoinQuery, Result, Sampled, Summary};
 
 /// Sketch `stream` with `threads` workers and merge the partial sketches.
 ///
@@ -79,117 +74,45 @@ pub fn parallel_sketch_with<E: Summary + JoinQuery>(
     rt.into_merged()
 }
 
-/// Result of a parallel shedding run: the merged sketch plus the total
-/// kept-tuple count needed by the Bernoulli bias correction.
-#[derive(Debug)]
-pub struct ParallelShedResult {
-    /// Merged (unscaled) sketch of the union of kept tuples.
-    pub sketch: JoinSketch,
-    /// Total tuples kept across all workers.
-    pub kept: u64,
-    /// Total tuples offered across all workers (the logical stream
-    /// length), needed by the sampling-noise plug-in of the typed
-    /// estimate.
-    pub seen: u64,
-    /// Wall-clock measurement of the parallel region.
-    pub throughput: Throughput,
-    /// The shedding probability, for applying estimates later.
-    pub p: f64,
-}
-
-impl ParallelShedResult {
-    /// The unbiased self-join estimate of the full logical stream
-    /// (the shared Proposition 14 correction).
-    pub fn self_join(&self) -> f64 {
-        bernoulli_self_join(self.sketch.raw_self_join(), self.p, self.kept)
-    }
-
-    /// Typed counterpart of [`ParallelShedResult::self_join`]: the same
-    /// value bit for bit, with sketch-lane spread (corrected per lane)
-    /// plus the Bernoulli sampling plug-in as the error bar.
-    pub fn self_join_estimate(&self) -> Estimate {
-        bernoulli_self_join_estimate(&self.sketch, self.p, self.kept, self.seen)
-    }
-}
-
-/// Shed-and-sketch `stream` in parallel with `threads` workers, each with
-/// an independently seeded sampler.
+/// Shed-and-sketch `stream` in parallel with `threads` shard workers, each
+/// a [`Sampled`] join sketch with an independently seeded sampler, and merge
+/// them into one `Sampled<JoinSketch>` over the whole stream.
+///
+/// The worker seeds are drawn from `seed_rng` up front, one per worker, so
+/// the result is reproducible and bit-identical to shedding each
+/// contiguous chunk sequentially with the same seeds and merging (the
+/// merge is integer-exact).
+///
+/// # Errors
+///
+/// An estimator error if `p ∉ (0, 1]`;
+/// [`StreamError::ShardDisconnected`](crate::StreamError::ShardDisconnected)
+/// if a worker died.
 pub fn parallel_shed<R: Rng>(
     schema: &JoinSchema,
     stream: &[u64],
     p: f64,
     threads: usize,
     seed_rng: &mut R,
-) -> Result<ParallelShedResult> {
-    // Validate `p` up front so an empty stream still rejects bad inputs,
-    // then handle the empty stream explicitly (nothing to partition).
-    if !(p > 0.0 && p <= 1.0) {
-        return Err(sss_sampling::Error::InvalidProbability(p).into());
+) -> StreamResult<Sampled<JoinSketch>> {
+    let threads = threads.clamp(1, stream.len().max(1));
+    let chunk = stream.len().div_ceil(threads).max(1);
+    let prototypes = (0..threads)
+        .map(|_| {
+            let mut rng = StdRng::seed_from_u64(seed_rng.random());
+            Sampled::new(schema.sketch(), p, &mut rng)
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let config = RuntimeConfig {
+        shards: threads,
+        queue_depth: 1,
+        partition: Partition::RoundRobin,
+    };
+    let mut rt = ShardedRuntime::new_per_shard(config, prototypes)?;
+    for part in stream.chunks(chunk) {
+        rt.push(part)?;
     }
-    if stream.is_empty() {
-        return Ok(ParallelShedResult {
-            sketch: schema.sketch(),
-            kept: 0,
-            seen: 0,
-            throughput: Throughput::measure(0, || {}),
-            p,
-        });
-    }
-    let threads = threads.clamp(1, stream.len());
-    let chunk = stream.len().div_ceil(threads);
-    // Seed one RNG per worker up front, deterministically from the caller's.
-    let seeds: Vec<u64> = (0..threads).map(|_| seed_rng.random()).collect();
-    let mut result: Option<(JoinSketch, u64)> = None;
-    let mut err = None;
-    let t = Throughput::measure(stream.len() as u64, || {
-        let partials: Vec<Result<(JoinSketch, u64)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = stream
-                .chunks(chunk)
-                .zip(&seeds)
-                .map(|(part, &seed)| {
-                    scope.spawn(move || {
-                        let mut rng = StdRng::seed_from_u64(seed);
-                        let mut shed = LoadSheddingSketcher::new(schema, p, &mut rng)?;
-                        shed.feed_batch(part);
-                        Ok((shed.sketch().clone(), shed.kept()))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shed worker panicked"))
-                .collect()
-        });
-        let mut merged = schema.sketch();
-        let mut kept = 0u64;
-        for part in partials {
-            match part {
-                Ok((sk, k)) => {
-                    if let Err(e) = merged.merge(&sk) {
-                        err = Some(e);
-                        return;
-                    }
-                    kept += k;
-                }
-                Err(e) => {
-                    err = Some(e);
-                    return;
-                }
-            }
-        }
-        result = Some((merged, kept));
-    });
-    if let Some(e) = err {
-        return Err(e);
-    }
-    let (sketch, kept) = result.expect("either err or result is set");
-    Ok(ParallelShedResult {
-        sketch,
-        kept,
-        seen: stream.len() as u64,
-        throughput: t,
-        p,
-    })
+    rt.into_merged()
 }
 
 #[cfg(test)]
@@ -258,7 +181,7 @@ mod tests {
         // Shedding over an empty stream: zero kept, estimate zero, and the
         // probability is still validated.
         let r = parallel_shed(&schema, &[], 0.5, 4, &mut rng).unwrap();
-        assert_eq!(r.kept, 0);
+        assert_eq!(r.kept(), 0);
         assert_eq!(r.self_join(), 0.0);
         assert!(parallel_shed(&schema, &[], 0.0, 4, &mut rng).is_err());
     }
@@ -283,7 +206,7 @@ mod tests {
             );
         }
         let r = parallel_shed(&schema, &short, 1.0, 64, &mut rng).unwrap();
-        assert_eq!(r.kept, short.len() as u64, "p = 1 keeps everything");
+        assert_eq!(r.kept(), short.len() as u64, "p = 1 keeps everything");
     }
 
     /// Parallel shedding gives an unbiased estimate with ≈p·n kept tuples.
@@ -293,7 +216,7 @@ mod tests {
         let schema = JoinSchema::fagms(1, 4096, &mut rng);
         let s = stream(); // 5000 keys × 40 copies → F₂ = 8·10⁶
         let r = parallel_shed(&schema, &s, 0.2, 4, &mut rng).unwrap();
-        let frac = r.kept as f64 / s.len() as f64;
+        let frac = r.kept() as f64 / s.len() as f64;
         assert!((frac - 0.2).abs() < 0.01, "kept fraction {frac}");
         let truth = 5000.0 * 40.0 * 40.0;
         let est = r.self_join();
@@ -303,20 +226,36 @@ mod tests {
         );
     }
 
-    /// The typed shed estimate carries the scalar value bit for bit, the
-    /// full stream length, and a finite two-part error bar.
+    /// `parallel_shed` is bit-identical to shedding each contiguous chunk
+    /// sequentially with the same per-worker seeds and merging.
     #[test]
-    fn parallel_shed_typed_estimate_is_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let schema = JoinSchema::agms(48, &mut rng);
+    fn parallel_shed_equals_sequential_per_chunk_sampling() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let schema = JoinSchema::fagms(3, 512, &mut rng);
         let s = stream();
-        let r = parallel_shed(&schema, &s, 0.3, 4, &mut rng).unwrap();
-        assert_eq!(r.seen, s.len() as u64);
-        let e = r.self_join_estimate();
-        assert_eq!(e.value.to_bits(), r.self_join().to_bits());
-        assert_eq!(e.basics.len(), 48);
-        assert!(e.variance.is_finite() && e.variance > 0.0);
-        assert!(e.clt(0.95).unwrap().half_width() < e.chebyshev(0.95).unwrap().half_width());
+        for (threads, p) in [(1usize, 0.5), (3, 0.2), (4, 1.0), (7, 0.05)] {
+            let mut seed_a = StdRng::seed_from_u64(40 + threads as u64);
+            let mut seed_b = seed_a.clone();
+            let par = parallel_shed(&schema, &s, p, threads, &mut seed_a).unwrap();
+            let chunk = s.len().div_ceil(threads);
+            let mut seq: Option<Sampled<JoinSketch>> = None;
+            for part in s.chunks(chunk) {
+                let mut worker = StdRng::seed_from_u64(seed_b.random());
+                let mut shed = Sampled::new(schema.sketch(), p, &mut worker).unwrap();
+                shed.feed_batch(part);
+                match &mut seq {
+                    None => seq = Some(shed),
+                    Some(acc) => acc.merge_from(&shed).unwrap(),
+                }
+            }
+            let seq = seq.unwrap();
+            assert_eq!(par.kept(), seq.kept(), "threads = {threads}");
+            assert_eq!(par.seen(), s.len() as u64);
+            assert_eq!(par.self_join().to_bits(), seq.self_join().to_bits());
+            let (a, b) = (par.self_join_estimate(), seq.self_join_estimate());
+            assert_eq!(a.value.to_bits(), b.value.to_bits());
+            assert_eq!(a.variance.to_bits(), b.variance.to_bits());
+        }
     }
 
     #[test]

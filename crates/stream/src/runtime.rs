@@ -1264,19 +1264,26 @@ fn shard_worker<E: Summary>(
     // otherwise pay that per 512-tuple producer batch). Snapshot floors are
     // unaffected: the local `applied` advances past a floor in one jump
     // after the update lands, and a floor is a minimum, never an
-    // exact-prefix request. Coalescing is bounded by the ring capacity, so
-    // requests arriving mid-drain wait at most one queue depth of work.
+    // exact-prefix request. A run stops after one ring capacity of pops
+    // (`queue_depth`), so it spans at most `queue_depth + 1` producer
+    // batches even while the producer refills the slots the drain frees:
+    // the run's memory stays bounded and requests arriving mid-drain wait
+    // at most one queue depth of work.
     // The atomic gauge counter is bumped per *pop* (not per apply): the
     // producer refills slots the drain frees, and counting claimed buffers
     // as still-queued would let `accepted − applied` read up to twice the
     // ring depth, breaking the documented `≤ depth + 1` high-water bound.
+    let max_run = shared.config.queue_depth as u64 + 1;
     let mut apply_run = |est: &mut E,
                          mut first: Vec<u64>,
                          applied: &mut u64,
                          data: &mut ring::Consumer<Vec<u64>>| {
         let mut batches = 1u64;
         state.applied.store(*applied + batches, Ordering::Release);
-        while let Some(mut next) = data.try_pop() {
+        while batches < max_run {
+            let Some(mut next) = data.try_pop() else {
+                break;
+            };
             first.append(&mut next);
             batches += 1;
             state.applied.store(*applied + batches, Ordering::Release);
@@ -2042,6 +2049,60 @@ mod tests {
             );
         }
     }
+
+    /// Records the longest coalesced run the worker ever applied, in
+    /// keys, and how many keys it saw in total.
+    #[derive(Clone, Default)]
+    struct RunRecorder {
+        longest: Arc<AtomicUsize>,
+        total: Arc<AtomicUsize>,
+    }
+
+    impl Summary for RunRecorder {
+        fn update(&mut self, _key: u64, count: i64) {
+            self.total
+                .fetch_add(count.max(0) as usize, Ordering::Relaxed);
+        }
+        fn update_batch(&mut self, keys: &[u64]) {
+            self.longest.fetch_max(keys.len(), Ordering::Relaxed);
+            self.total.fetch_add(keys.len(), Ordering::Relaxed);
+        }
+        fn merge_from(&mut self, _other: &Self) -> sss_core::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A fast producer of tiny batches refills every slot the worker's
+    /// coalescing drain frees; the drain must still stop after one ring
+    /// capacity, so no `update_batch` spans more than `queue_depth + 1`
+    /// producer batches and a run's memory stays bounded.
+    #[test]
+    fn coalesced_runs_span_at_most_one_ring_capacity() {
+        const BATCH: usize = 8;
+        for queue_depth in [1usize, 2, 4] {
+            let recorder = RunRecorder::default();
+            let config = RuntimeConfig {
+                shards: 1,
+                queue_depth,
+                partition: Partition::RoundRobin,
+            };
+            let mut rt = ShardedRuntime::new(config, &recorder).unwrap();
+            let batch = [7u64; BATCH];
+            let pushes = 200_000usize;
+            for _ in 0..pushes {
+                rt.push(&batch).unwrap();
+            }
+            rt.into_merged().unwrap();
+            assert_eq!(recorder.total.load(Ordering::Relaxed), pushes * BATCH);
+            let longest = recorder.longest.load(Ordering::Relaxed);
+            assert!(
+                longest <= (queue_depth + 1) * BATCH,
+                "depth {queue_depth}: a run of {} batches",
+                longest / BATCH
+            );
+        }
+    }
+
     #[test]
     fn read_replica_matches_merged_when_fresh() {
         let mut rng = StdRng::seed_from_u64(11);

@@ -3,13 +3,13 @@
 //!
 //! This is the apparatus behind the paper's speed-up claims (§I, §VII-E):
 //! run the *same* stream through (a) a sketch that ingests every tuple and
-//! (b) a [`LoadSheddingSketcher`] that ingests a p-sample via geometric
+//! (b) a [`Sampled`] join sketch that ingests a p-sample via geometric
 //! skips, then compare wall-clock cost and estimate quality.
 
 use crate::throughput::Throughput;
 use rand::Rng;
 use sss_core::sketch::JoinSchema;
-use sss_core::{LoadSheddingSketcher, Result};
+use sss_core::{Result, Sampled};
 
 /// Results of one comparison run.
 #[derive(Debug, Clone)]
@@ -63,7 +63,7 @@ impl ShedderComparison {
                 full_sketch.update(k, 1);
             }
         });
-        let mut shed = LoadSheddingSketcher::new(&self.schema, p, rng)?;
+        let mut shed = Sampled::new(self.schema.sketch(), p, rng)?;
         let shedded = Throughput::measure(stream.len() as u64, || {
             for &k in stream {
                 shed.observe(k);

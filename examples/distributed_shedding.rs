@@ -12,7 +12,7 @@
 //!    Proposition 14 scaling applies once at the coordinator.
 //!
 //! Also shows the in-process shortcut (`sss_stream::parallel_shed`) that
-//! does the same thing on local threads.
+//! does the same thing on the sharded runtime's local worker threads.
 //!
 //! ```text
 //! cargo run --release --example distributed_shedding
@@ -21,10 +21,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
-use sketch_sampled_streams::core::LoadSheddingSketcher;
+use sketch_sampled_streams::core::Sampled;
 use sketch_sampled_streams::datagen::ZipfGenerator;
 use sketch_sampled_streams::exact::ExactAggregator;
 use sketch_sampled_streams::stream::parallel_shed;
+use std::time::Instant;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(77);
@@ -60,11 +61,11 @@ fn main() {
         let worker_schema: JoinSchema =
             serde_json::from_str(&schema_wire).expect("schema deserializes");
         let mut shed =
-            LoadSheddingSketcher::new(&worker_schema, p, &mut rng).expect("valid probability");
+            Sampled::new(worker_schema.sketch(), p, &mut rng).expect("valid probability");
         for &k in part {
             shed.observe(k);
         }
-        let payload = serde_json::to_string(shed.sketch()).expect("sketch serializes");
+        let payload = serde_json::to_string(shed.summary()).expect("sketch serializes");
         println!(
             "worker {w}: kept {} tuples, sketch payload {} bytes",
             shed.kept(),
@@ -89,11 +90,12 @@ fn main() {
 
     // --- The in-process shortcut ----------------------------------------
     let flat: Vec<u64> = partitions.concat();
+    let start = Instant::now();
     let r = parallel_shed(&schema, &flat, p, workers, &mut rng).expect("valid probability");
+    let mtps = flat.len() as f64 / start.elapsed().as_secs_f64() / 1e6;
     println!(
-        "parallel_shed (threads): {:.4e}  (rel. error {:.2}%, {:.1} Mt/s)",
+        "parallel_shed (threads): {:.4e}  (rel. error {:.2}%, {mtps:.1} Mt/s)",
         r.self_join(),
         100.0 * (r.self_join() - truth).abs() / truth,
-        r.throughput.tuples_per_sec() / 1e6
     );
 }

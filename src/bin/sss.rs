@@ -62,9 +62,7 @@ use std::process::ExitCode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
-use sketch_sampled_streams::core::{
-    wire, JoinQuery, LoadSheddingSketcher, MultiSpec, Portable, Sampled, SlimQuery,
-};
+use sketch_sampled_streams::core::{wire, JoinQuery, MultiSpec, Portable, Sampled, SlimQuery};
 use sketch_sampled_streams::exact::ExactAggregator;
 use sketch_sampled_streams::net::{self, QueryClient, RunningServer, ServerConfig};
 use sketch_sampled_streams::sketch::FagmsSchema;
@@ -155,7 +153,7 @@ fn run_selfjoin(
 ) -> Result<()> {
     let path = &args[1];
     let keys = read_keys(path)?;
-    let mut shed = LoadSheddingSketcher::new(schema, p, rng)?;
+    let mut shed = Sampled::new(schema.sketch(), p, rng)?;
     for &k in &keys {
         shed.observe(k);
     }
@@ -188,8 +186,8 @@ fn run_join(
     let q: f64 = arg_value(args, "q", 1.0);
     let f_keys = read_keys(pf)?;
     let g_keys = read_keys(pg)?;
-    let mut fs = LoadSheddingSketcher::new(schema, p, rng)?;
-    let mut gs = LoadSheddingSketcher::new(schema, q, rng)?;
+    let mut fs = Sampled::new(schema.sketch(), p, rng)?;
+    let mut gs = Sampled::new(schema.sketch(), q, rng)?;
     for &k in &f_keys {
         fs.observe(k);
     }

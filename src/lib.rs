@@ -29,11 +29,11 @@
 //! ```
 //! use rand::SeedableRng;
 //! use sketch_sampled_streams::core::sketch::JoinSchema;
-//! use sketch_sampled_streams::core::LoadSheddingSketcher;
+//! use sketch_sampled_streams::core::Sampled;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let schema = JoinSchema::fagms(1, 5000, &mut rng);
-//! let mut sketcher = LoadSheddingSketcher::new(&schema, 0.1, &mut rng).unwrap();
+//! let mut sketcher = Sampled::new(schema.sketch(), 0.1, &mut rng).unwrap();
 //! for i in 0..100_000u64 {
 //!     sketcher.observe(i % 500); // sketch a 10% sample of the stream
 //! }

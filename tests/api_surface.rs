@@ -152,22 +152,25 @@ fn streaming_layer_is_generic_over_the_hierarchy() {
     replica_accepts::<MultiSummary>();
 }
 
-/// The pre-redesign `StreamSummary`/`JoinEstimator` shims are **gone**,
-/// not deprecated: `sss_core::summary` carries `compile_fail` doctests
-/// proving that `core::StreamSummary` and `core::JoinEstimator` no
-/// longer resolve (the assertion lives there because a missing name can
-/// only be proven at compile time). What survives is the `SampledTopK`
-/// type alias — same type as `Sampled`, behind a deprecation warning —
-/// which this body pins at runtime.
+/// The pre-redesign shims are **gone**, not deprecated: `sss_core::summary`
+/// and `sss_core::sampled` carry `compile_fail` doctests proving that
+/// `core::StreamSummary`, `core::JoinEstimator`, `core::SampledTopK` and
+/// `core::LoadSheddingSketcher` no longer resolve (a missing name can only
+/// be proven at compile time). What this body pins at runtime is that the
+/// one Bernoulli front end, `Sampled`, serves both former roles: the join
+/// shedder and the sampled heavy-hitter tracker.
 #[test]
-#[allow(deprecated)]
 fn removed_shims_stay_removed() {
-    // The alias is the same type, not a lookalike: a value built through
-    // the new name is assignable to the old one.
     let mut r = rng(1);
-    let sampled: sketch_sampled_streams::core::SampledTopK<MisraGries> =
-        Sampled::misra_gries(8, 0.5, &mut r).unwrap();
-    assert_eq!(sampled.probability(), 0.5);
+    let topk = Sampled::misra_gries(8, 0.5, &mut r).unwrap();
+    assert_eq!(topk.probability(), 0.5);
+    let schema = JoinSchema::fagms(1, 64, &mut r);
+    let mut shed = Sampled::new(schema.sketch(), 1.0, &mut r).unwrap();
+    shed.feed_batch(&[1, 2, 2]);
+    assert_eq!(
+        shed.self_join().to_bits(),
+        shed.summary().raw_self_join().to_bits()
+    );
 }
 
 /// Default-method honesty: a summary that does not override retraction

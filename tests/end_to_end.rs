@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::analysis::{self, BoundKind};
 use sketch_sampled_streams::core::sketch::JoinSchema;
-use sketch_sampled_streams::core::{IidStreamSketcher, LoadSheddingSketcher, ScanSketcher};
+use sketch_sampled_streams::core::{IidStreamSketcher, Sampled, ScanSketcher};
 use sketch_sampled_streams::datagen::{TpchGenerator, ZipfGenerator};
 use sketch_sampled_streams::moments::FrequencyVector;
 use sketch_sampled_streams::sampling::without_replacement::PrefixScan;
@@ -20,8 +20,8 @@ fn zipf_stream_shedding_keeps_accuracy_at_10_percent() {
     let truth = FrequencyVector::from_keys(stream.iter().copied(), domain).self_join();
 
     let schema = JoinSchema::fagms(1, 5000, &mut rng);
-    let mut full = LoadSheddingSketcher::new(&schema, 1.0, &mut rng).unwrap();
-    let mut shed = LoadSheddingSketcher::new(&schema, 0.1, &mut rng).unwrap();
+    let mut full = Sampled::new(schema.sketch(), 1.0, &mut rng).unwrap();
+    let mut shed = Sampled::new(schema.sketch(), 0.1, &mut rng).unwrap();
     for &k in &stream {
         full.observe(k);
         shed.observe(k);
@@ -51,7 +51,7 @@ fn predicted_confidence_interval_covers_realized_estimates() {
     let runs = 30;
     for _ in 0..runs {
         let schema = JoinSchema::fagms(1, 2000, &mut rng);
-        let mut shed = LoadSheddingSketcher::new(&schema, p, &mut rng).unwrap();
+        let mut shed = Sampled::new(schema.sketch(), p, &mut rng).unwrap();
         for &k in &stream {
             shed.observe(k);
         }
@@ -154,7 +154,7 @@ fn three_regimes_agree_on_one_relation() {
     let schema = JoinSchema::fagms(1, 5000, &mut rng);
 
     // Bernoulli 10%.
-    let mut shed = LoadSheddingSketcher::new(&schema, 0.1, &mut rng).unwrap();
+    let mut shed = Sampled::new(schema.sketch(), 0.1, &mut rng).unwrap();
     for &k in &rel {
         shed.observe(k);
     }

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::JoinSchema;
-use sketch_sampled_streams::core::{EpochShedder, JoinQuery, LoadSheddingSketcher};
+use sketch_sampled_streams::core::{EpochShedder, JoinQuery, Sampled};
 use sketch_sampled_streams::sketch::{AgmsSchema, CountMinSchema, Estimate, FagmsSchema};
 use sketch_sampled_streams::stream::{parallel_shed, EngineBuilder, RuntimeConfig, ShardedRuntime};
 
@@ -99,7 +99,7 @@ proptest! {
         assert_coherent(&af.size_of_join_estimate(&ag).unwrap());
     }
 
-    /// Shedding drivers: `LoadSheddingSketcher` and `EpochShedder` (with
+    /// Shedding drivers: `Sampled` join sketches and `EpochShedder` (with
     /// rate changes mid-stream) report bit-identical typed values.
     #[test]
     fn shedder_estimates_are_bit_identical(
@@ -115,8 +115,8 @@ proptest! {
             JoinSchema::agms(24, &mut rng)
         };
 
-        let mut shed = LoadSheddingSketcher::new(&schema, p, &mut rng).unwrap();
-        let mut other = LoadSheddingSketcher::new(&schema, 1.0, &mut rng).unwrap();
+        let mut shed = Sampled::new(schema.sketch(), p, &mut rng).unwrap();
+        let mut other = Sampled::new(schema.sketch(), 1.0, &mut rng).unwrap();
         for &k in &stream {
             shed.observe(k);
             other.observe(k);
@@ -143,11 +143,11 @@ proptest! {
         prop_assert_eq!(ej.value.to_bits(), epochs.size_of_join(&epochs2).unwrap().to_bits());
         assert_coherent(&ej);
         let es = epochs
-            .size_of_join_sketch_estimate(other.sketch(), 1.0)
+            .size_of_join_sketch_estimate(other.summary(), 1.0)
             .unwrap();
         prop_assert_eq!(
             es.value.to_bits(),
-            epochs.size_of_join_sketch(other.sketch(), 1.0).unwrap().to_bits()
+            epochs.size_of_join_sketch(other.summary(), 1.0).unwrap().to_bits()
         );
     }
 
