@@ -21,13 +21,13 @@ fn benches(c: &mut Criterion) {
             t.update(key % 100, 1);
         }
         group.bench_function(BenchmarkId::new("agms_self_join_mean", n), |b| {
-            b.iter(|| black_box(s.self_join()))
+            b.iter(|| black_box(s.self_join_estimate().value))
         });
         group.bench_function(BenchmarkId::new("agms_self_join_mom8", n), |b| {
             b.iter(|| black_box(s.self_join_median_of_means(8)))
         });
         group.bench_function(BenchmarkId::new("agms_join", n), |b| {
-            b.iter(|| black_box(s.size_of_join(&t).expect("shared schema")))
+            b.iter(|| black_box(s.size_of_join_estimate(&t).expect("shared schema").value))
         });
         // The typed query: same point estimate plus lane variance and
         // interval state — measures the error-bar overhead.
@@ -47,10 +47,10 @@ fn benches(c: &mut Criterion) {
             t.update(key % 100, 1);
         }
         group.bench_function(BenchmarkId::new("fagms_self_join", width), |b| {
-            b.iter(|| black_box(s.self_join()))
+            b.iter(|| black_box(s.self_join_estimate().value))
         });
         group.bench_function(BenchmarkId::new("fagms_join", width), |b| {
-            b.iter(|| black_box(s.size_of_join(&t).expect("shared schema")))
+            b.iter(|| black_box(s.size_of_join_estimate(&t).expect("shared schema").value))
         });
         group.bench_function(BenchmarkId::new("fagms_self_join_estimate", width), |b| {
             b.iter(|| black_box(s.self_join_estimate()))

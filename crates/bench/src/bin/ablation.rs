@@ -35,7 +35,7 @@ where
         for &k in stream {
             sk.update(k, 1);
         }
-        err += ((sk.self_join() - truth) / truth).abs();
+        err += ((sk.self_join_estimate().value - truth) / truth).abs();
     }
     println!("xi_family,{name},{:.6}", err / reps as f64);
 }
@@ -109,7 +109,7 @@ fn main() {
                     s.update(k, 1);
                 }
             });
-            err_agms += ((s.self_join() - sub_truth) / sub_truth).abs();
+            err_agms += ((s.self_join_estimate().value - sub_truth) / sub_truth).abs();
 
             let fagms = FagmsSchema::<Cw4, Cw2Bucket>::new(1, 5000, &mut rng);
             let mut f = fagms.sketch();
@@ -118,7 +118,7 @@ fn main() {
                     f.update(k, 1);
                 }
             });
-            err_fagms += ((f.self_join() - sub_truth) / sub_truth).abs();
+            err_fagms += ((f.self_join_estimate().value - sub_truth) / sub_truth).abs();
             println!(
                 "structure_agms5000_mtps,,{:.3}",
                 agms_t.tuples_per_sec() / 1e6

@@ -288,7 +288,7 @@ fn main() {
                 one_secs,
                 tuples,
                 &exact,
-                one.self_join(),
+                one.self_join_estimate().value,
                 one.distinct(),
                 &one.top_k(k),
                 one.quantile(0.5).expect("median"),
@@ -300,7 +300,7 @@ fn main() {
                 four_secs,
                 tuples,
                 &exact,
-                join.self_join(),
+                join.self_join_estimate().value,
                 hll.distinct(),
                 &topk.top_k(k),
                 kll.quantile(0.5).expect("median"),

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sss_core::sketch::{JoinSchema, JoinSketch};
 use sss_core::{
-    EpochShedder, IidStreamSketcher, JoinQuery, RateGrid, ReferenceEpochShedder, Sampled,
+    EpochShedder, Estimate, IidStreamSketcher, JoinQuery, RateGrid, ReferenceEpochShedder, Sampled,
     ScanSketcher, Summary,
 };
 use sss_datagen::{DiscreteAlias, TpchGenerator, ZipfGenerator};
@@ -74,7 +74,7 @@ pub fn bernoulli_sj_sweep(cfg: &BernoulliSweep) -> Vec<SweepPoint> {
                 for &k in &g_stream {
                     gs.observe(k);
                 }
-                let est = fs.size_of_join(&gs).expect("shared schema");
+                let est = fs.size_of_join_estimate(&gs).expect("shared schema").value;
                 errors[pi] += ((est - truth) / truth).abs();
             }
         }
@@ -106,7 +106,7 @@ pub fn bernoulli_sjs_sweep(cfg: &BernoulliSweep) -> Vec<SweepPoint> {
                 for &k in &stream {
                     s.observe(k);
                 }
-                errors[pi] += ((s.self_join() - truth) / truth).abs();
+                errors[pi] += ((s.self_join_estimate().value - truth) / truth).abs();
             }
         }
         for (pi, &p) in cfg.probabilities.iter().enumerate() {
@@ -346,11 +346,6 @@ impl PacedSketch {
             pause,
         }
     }
-
-    /// The wrapped sketch (e.g. to compare against a sequential run).
-    pub fn into_inner(self) -> JoinSketch {
-        self.inner
-    }
 }
 
 impl Summary for PacedSketch {
@@ -371,12 +366,12 @@ impl Summary for PacedSketch {
 }
 
 impl JoinQuery for PacedSketch {
-    fn self_join(&self) -> f64 {
-        self.inner.raw_self_join()
+    fn self_join_estimate(&self) -> Estimate {
+        self.inner.raw_self_join_estimate()
     }
 
-    fn size_of_join(&self, other: &Self) -> sss_core::Result<f64> {
-        self.inner.raw_size_of_join(&other.inner)
+    fn size_of_join_estimate(&self, other: &Self) -> sss_core::Result<Estimate> {
+        self.inner.raw_size_of_join_estimate(&other.inner)
     }
 }
 
@@ -484,7 +479,7 @@ pub fn sharded_scaling(cfg: &ShardedScalingConfig) -> Vec<ScalingPoint> {
         .collect();
     let mut sequential = schema.sketch();
     sequential.update_batch(&stream);
-    let expect = sequential.raw_self_join().to_bits();
+    let expect = sequential.raw_self_join_estimate().value.to_bits();
     let pause = Duration::from_micros(cfg.pause_us);
     let mut out = Vec::new();
     for workload in ["cpu_bound", "latency_bound"] {
@@ -497,11 +492,11 @@ pub fn sharded_scaling(cfg: &ShardedScalingConfig) -> Vec<ScalingPoint> {
             };
             let (estimate_bits, t, gauges) = if workload == "cpu_bound" {
                 let (merged, t, g) = sharded_run(&schema.sketch(), config, &stream, cfg.batch);
-                (merged.raw_self_join().to_bits(), t, g)
+                (merged.raw_self_join_estimate().value.to_bits(), t, g)
             } else {
                 let proto = PacedSketch::new(&schema, pause);
                 let (merged, t, g) = sharded_run(&proto, config, &stream, cfg.batch);
-                (merged.into_inner().raw_self_join().to_bits(), t, g)
+                (merged.self_join_estimate().value.to_bits(), t, g)
             };
             assert_eq!(
                 estimate_bits, expect,
@@ -626,7 +621,7 @@ pub fn queries_under_ingest(cfg: &QueriesUnderIngestConfig) -> Vec<QueriesPoint>
                 if (i + 1) % burst_every != 0 {
                     continue;
                 }
-                let expect = sequential.raw_self_join().to_bits();
+                let expect = sequential.raw_self_join_estimate().value.to_bits();
                 for q in 0..cfg.queries_per_burst {
                     let start = Instant::now();
                     let merged = if mode == "cached" {
@@ -644,7 +639,7 @@ pub fn queries_under_ingest(cfg: &QueriesUnderIngestConfig) -> Vec<QueriesPoint>
                         repeats += 1;
                     }
                     assert_eq!(
-                        merged.raw_self_join().to_bits(),
+                        merged.raw_self_join_estimate().value.to_bits(),
                         expect,
                         "{mode}: at-all-times answer must equal the pushed prefix"
                     );

@@ -24,7 +24,7 @@ use sss_moments::engine::{self, Moments};
 use sss_moments::freq::FrequencyVector;
 use sss_moments::scheme::{Bernoulli, WithReplacement, WithoutReplacement};
 
-/// Moments of [`crate::Sampled::self_join`] for a join sketch of `schema`
+/// Moments of [`crate::Sampled::self_join_estimate`] for a join sketch of `schema`
 /// on a stream with true frequencies `f` and shedding probability `p`.
 pub fn shedding_self_join(f: &FrequencyVector, p: f64, schema: &JoinSchema) -> Result<Moments> {
     let scheme = Bernoulli::new(p)?;
@@ -35,7 +35,7 @@ pub fn shedding_self_join(f: &FrequencyVector, p: f64, schema: &JoinSchema) -> R
     )?)
 }
 
-/// Moments of [`crate::Sampled::size_of_join`] for join sketches of
+/// Moments of [`crate::Sampled::size_of_join_estimate`] for join sketches of
 /// `schema` on streams with true frequencies `f`, `g` and shedding
 /// probabilities `p`, `q`.
 pub fn shedding_size_of_join(

@@ -112,7 +112,7 @@ impl RateGrid {
 
 /// Cached pairwise terms of the epoch self-join decomposition.
 ///
-/// `diag[i]` holds `raw_self_join` of epoch `i`'s sketch; `cross[i][j]`
+/// `diag[i]` holds the raw self-join of epoch `i`'s sketch; `cross[i][j]`
 /// (for `i < j`) holds the raw sketch dot product between epochs `i` and
 /// `j`. Entries are recomputed only for epochs whose `version` moved since
 /// the last query — between monitoring queries only the current epoch
@@ -146,14 +146,14 @@ impl QueryCache {
             if self.versions[i] == Some(epochs[i].version) {
                 continue;
             }
-            self.diag[i] = epochs[i].sketch.raw_self_join();
+            self.diag[i] = epochs[i].sketch.raw_self_join_estimate().value;
             for (j, other) in epochs.iter().enumerate() {
                 if j == i {
                     continue;
                 }
-                let v = epochs[i].sketch.raw_size_of_join(&other.sketch)?;
+                let v = epochs[i].sketch.raw_size_of_join_estimate(&other.sketch)?;
                 let (a, b) = if i < j { (i, j) } else { (j, i) };
-                self.cross[a][b] = v;
+                self.cross[a][b] = v.value;
             }
             self.versions[i] = Some(epochs[i].version);
         }
@@ -314,9 +314,9 @@ impl ReferenceEpochShedder {
     pub fn self_join(&self) -> Result<f64> {
         let mut total = 0.0;
         for (i, e) in self.epochs.iter().enumerate() {
-            total += bernoulli_self_join(e.sketch.raw_self_join(), e.p, e.kept);
+            total += bernoulli_self_join(e.sketch.raw_self_join_estimate().value, e.p, e.kept);
             for e2 in &self.epochs[i + 1..] {
-                let cross = e.sketch.raw_size_of_join(&e2.sketch)?;
+                let cross = e.sketch.raw_size_of_join_estimate(&e2.sketch)?.value;
                 total += 2.0 * cross / (e.p * e2.p);
             }
         }
@@ -329,7 +329,7 @@ impl ReferenceEpochShedder {
         let mut total = 0.0;
         for e in &self.epochs {
             for o in &other.epochs {
-                let cross = e.sketch.raw_size_of_join(&o.sketch)?;
+                let cross = e.sketch.raw_size_of_join_estimate(&o.sketch)?.value;
                 total += cross / (e.p * o.p);
             }
         }

@@ -102,14 +102,14 @@ impl CoordinatedShedder {
     /// scaling, with `Σf′ = kept_net`).
     pub fn self_join(&self) -> f64 {
         let p2 = self.p * self.p;
-        self.sketch.raw_self_join() / p2 - (1.0 - self.p) / p2 * self.kept_net as f64
+        self.sketch.raw_self_join_estimate().value / p2 - (1.0 - self.p) / p2 * self.kept_net as f64
     }
 
     /// Unbiased size-of-join estimate against another coordinated shedder
     /// (sharing the sketch schema; the two hashes must be independent,
     /// which `new` guarantees when seeded separately).
     pub fn size_of_join(&self, other: &CoordinatedShedder) -> Result<f64> {
-        let raw = self.sketch.raw_size_of_join(&other.sketch)?;
+        let raw = self.sketch.raw_size_of_join_estimate(&other.sketch)?.value;
         Ok(raw / (self.p * other.p))
     }
 }
@@ -146,7 +146,7 @@ mod tests {
             shed.observe(id, id % 97, -1);
         }
         assert_eq!(shed.kept_net(), 0);
-        assert_eq!(shed.sketch().raw_self_join(), 0.0);
+        assert_eq!(shed.sketch().raw_self_join_estimate().value, 0.0);
         assert_eq!(shed.self_join(), 0.0);
     }
 

@@ -80,8 +80,8 @@ pub fn size_of_join<A: RatedSketch + ?Sized, B: RatedSketch + ?Sized>(a: &A, b: 
     if ra <= 0.0 || rb <= 0.0 {
         return Err(Error::InsufficientSample { got: 0, need: 1 });
     }
-    let raw = a.raw_sketch().raw_size_of_join(b.raw_sketch())?;
-    Ok(raw / (ra * rb))
+    let raw = a.raw_sketch().raw_size_of_join_estimate(b.raw_sketch())?;
+    Ok(raw.value / (ra * rb))
 }
 
 #[cfg(test)]

@@ -238,9 +238,9 @@ impl EpochShedder {
     pub fn self_join_uncached(&self) -> Result<f64> {
         let mut total = 0.0;
         for (i, e) in self.epochs.iter().enumerate() {
-            total += bernoulli_self_join(e.sketch.raw_self_join(), e.p, e.kept);
+            total += bernoulli_self_join(e.sketch.raw_self_join_estimate().value, e.p, e.kept);
             for e2 in &self.epochs[i + 1..] {
-                let cross = e.sketch.raw_size_of_join(&e2.sketch)?;
+                let cross = e.sketch.raw_size_of_join_estimate(&e2.sketch)?.value;
                 total += 2.0 * cross / (e.p * e2.p);
             }
         }
@@ -270,7 +270,7 @@ impl EpochShedder {
         }
         let mut total = 0.0;
         for e in &self.epochs {
-            total += e.sketch.raw_size_of_join(other)? / (e.p * q);
+            total += e.sketch.raw_size_of_join_estimate(other)?.value / (e.p * q);
         }
         Ok(total)
     }
@@ -281,42 +281,11 @@ impl EpochShedder {
         let mut total = 0.0;
         for e in &self.epochs {
             for o in &other.epochs {
-                let cross = e.sketch.raw_size_of_join(&o.sketch)?;
+                let cross = e.sketch.raw_size_of_join_estimate(&o.sketch)?.value;
                 total += cross / (e.p * o.p);
             }
         }
         Ok(total)
-    }
-
-    /// The per-lane basic estimates of the combined self-join: for each
-    /// independent sketch lane `k`, the Prop.-14-corrected diagonal of
-    /// every epoch plus the `2/(p_e·p_e′)`-scaled pairwise cross terms —
-    /// the same decomposition as [`EpochShedder::self_join_uncached`],
-    /// restricted to lane `k`. Combining the lanes (mean or median by
-    /// backend) recovers an estimate of the full-stream self-join; their
-    /// spread measures the sketch noise of the combined estimator.
-    ///
-    /// O(G²·lanes) sketch work (G = epoch count, bounded by compaction).
-    ///
-    /// # Errors
-    ///
-    /// Propagates schema mismatches (impossible for internally built
-    /// epochs).
-    pub fn self_join_basics(&self) -> Result<Vec<f64>> {
-        let mut lanes = vec![0.0; self.epochs[0].sketch.self_join_basics().len()];
-        for (i, e) in self.epochs.iter().enumerate() {
-            for (lane, d) in lanes.iter_mut().zip(e.sketch.self_join_basics()) {
-                *lane += bernoulli_self_join(d, e.p, e.kept);
-            }
-            for e2 in &self.epochs[i + 1..] {
-                let scale = 2.0 / (e.p * e2.p);
-                let cross = e.sketch.size_of_join_basics(&e2.sketch)?;
-                for (lane, c) in lanes.iter_mut().zip(cross) {
-                    *lane += scale * c;
-                }
-            }
-        }
-        Ok(lanes)
     }
 
     /// The sampling-noise part of the combined self-join variance: the
@@ -330,39 +299,60 @@ impl EpochShedder {
         self.epochs
             .iter()
             .map(|e| {
-                let f2_hat = bernoulli_self_join(e.sketch.raw_self_join(), e.p, e.kept);
+                let f2_hat =
+                    bernoulli_self_join(e.sketch.raw_self_join_estimate().value, e.p, e.kept);
                 sss_sampling::bernoulli_self_join_variance_plugin(e.p, e.seen, f2_hat)
             })
             .sum()
     }
 
     /// Typed combined self-join estimate: value bit-identical to
-    /// [`EpochShedder::self_join`] (the cached path), lanes from
-    /// [`EpochShedder::self_join_basics`], variance = backend-combined
-    /// lane spread plus [`EpochShedder::sampling_variance`].
+    /// [`EpochShedder::self_join`] (the cached path), variance =
+    /// backend-combined lane spread plus
+    /// [`EpochShedder::sampling_variance`].
+    ///
+    /// Lane `k` of the basics is [`EpochShedder::self_join_uncached`]
+    /// restricted to sketch lane `k`, so the lanes' spread measures the
+    /// sketch noise of the combined estimator. O(G²·lanes) sketch work
+    /// (G = epoch count, bounded by compaction).
     ///
     /// # Errors
     ///
     /// As for [`EpochShedder::self_join`].
     pub fn self_join_estimate(&self) -> Result<Estimate> {
         let value = self.self_join()?;
-        let lanes = self.self_join_basics()?;
+        let mut lanes = vec![0.0; self.epochs[0].sketch.self_join_basics().len()];
+        for (i, e) in self.epochs.iter().enumerate() {
+            for (lane, d) in lanes.iter_mut().zip(e.sketch.self_join_basics()) {
+                *lane += bernoulli_self_join(d, e.p, e.kept);
+            }
+            for e2 in &self.epochs[i + 1..] {
+                let scale = 2.0 / (e.p * e2.p);
+                let cross = e.sketch.size_of_join_basics(&e2.sketch)?;
+                for (lane, c) in lanes.iter_mut().zip(cross) {
+                    *lane += scale * c;
+                }
+            }
+        }
         let af = self.schema.averaging_factor() as f64;
         let single = 2.0 * value * value / af;
         let e = self.epochs[0].sketch.combine_lanes(value, lanes, single);
         Ok(e.plus_variance(self.sampling_variance()))
     }
 
-    /// Per-lane basics of [`EpochShedder::size_of_join_sketch`]: the
-    /// `1/(p_e·q)`-scaled cross lanes summed over epochs.
+    /// Typed counterpart of [`EpochShedder::size_of_join_sketch`]: value
+    /// bit-identical to the scalar path, basics the `1/(p_e·q)`-scaled
+    /// cross lanes summed over epochs; variance = backend-combined lane
+    /// spread plus a two-sided Bernoulli sampling plug-in evaluated at the
+    /// *smallest* epoch rate (the dominant noise contributor — a
+    /// deliberate conservative simplification of the per-epoch mixture)
+    /// with `other`'s F₂ bounded by its raw self-join over `q²`.
     ///
     /// # Errors
     ///
     /// Rejects `q ∉ (0, 1]` and schema mismatches.
-    pub fn size_of_join_sketch_basics(&self, other: &JoinSketch, q: f64) -> Result<Vec<f64>> {
-        if !(q > 0.0 && q <= 1.0) {
-            return Err(sss_sampling::Error::InvalidProbability(q).into());
-        }
+    pub fn size_of_join_sketch_estimate(&self, other: &JoinSketch, q: f64) -> Result<Estimate> {
+        let value = self.size_of_join_sketch(other, q)?;
         let mut lanes = vec![0.0; other.self_join_basics().len()];
         for e in &self.epochs {
             let scale = 1.0 / (e.p * q);
@@ -370,25 +360,9 @@ impl EpochShedder {
                 *lane += scale * c;
             }
         }
-        Ok(lanes)
-    }
-
-    /// Typed counterpart of [`EpochShedder::size_of_join_sketch`]: value
-    /// bit-identical to the scalar path; variance = backend-combined lane
-    /// spread plus a two-sided Bernoulli sampling plug-in evaluated at the
-    /// *smallest* epoch rate (the dominant noise contributor — a
-    /// deliberate conservative simplification of the per-epoch mixture)
-    /// with `other`'s F₂ bounded by `raw_self_join()/q²`.
-    ///
-    /// # Errors
-    ///
-    /// Rejects `q ∉ (0, 1]` and schema mismatches.
-    pub fn size_of_join_sketch_estimate(&self, other: &JoinSketch, q: f64) -> Result<Estimate> {
-        let value = self.size_of_join_sketch(other, q)?;
-        let lanes = self.size_of_join_sketch_basics(other, q)?;
         let af = self.schema.averaging_factor() as f64;
         let f2_self = self.self_join()?.max(0.0);
-        let f2_other = other.raw_self_join().max(0.0) / (q * q);
+        let f2_other = other.raw_self_join_estimate().value.max(0.0) / (q * q);
         let single = (f2_self * f2_other + value * value) / af;
         let sampling = sss_sampling::bernoulli_size_of_join_variance_plugin(
             self.min_probability(),
@@ -402,13 +376,16 @@ impl EpochShedder {
             .plus_variance(sampling))
     }
 
-    /// Per-lane basics of [`EpochShedder::size_of_join`]: all epoch-pair
-    /// cross lanes, each scaled by `1/(p_e·p_o)`.
+    /// Typed counterpart of [`EpochShedder::size_of_join`] against another
+    /// epoch-shedded stream. Value bit-identical to the scalar path,
+    /// basics all epoch-pair cross lanes, each scaled by `1/(p_e·p_o)`;
+    /// sampling plug-in evaluated at both sides' smallest epoch rates.
     ///
     /// # Errors
     ///
     /// Schema mismatch between the two shedders' sketches.
-    pub fn size_of_join_basics(&self, other: &EpochShedder) -> Result<Vec<f64>> {
+    pub fn size_of_join_estimate(&self, other: &EpochShedder) -> Result<Estimate> {
+        let value = self.size_of_join(other)?;
         let mut lanes = vec![0.0; self.epochs[0].sketch.self_join_basics().len()];
         for e in &self.epochs {
             for o in &other.epochs {
@@ -421,19 +398,6 @@ impl EpochShedder {
                 }
             }
         }
-        Ok(lanes)
-    }
-
-    /// Typed counterpart of [`EpochShedder::size_of_join`] against another
-    /// epoch-shedded stream. Value bit-identical to the scalar path;
-    /// sampling plug-in evaluated at both sides' smallest epoch rates.
-    ///
-    /// # Errors
-    ///
-    /// Schema mismatch between the two shedders' sketches.
-    pub fn size_of_join_estimate(&self, other: &EpochShedder) -> Result<Estimate> {
-        let value = self.size_of_join(other)?;
-        let lanes = self.size_of_join_basics(other)?;
         let af = self.schema.averaging_factor() as f64;
         let f2_self = self.self_join()?.max(0.0);
         let f2_other = other.self_join()?.max(0.0);
@@ -682,7 +646,7 @@ mod tests {
                 shed.set_probability(0.5, &mut r).unwrap();
             }
         }
-        let lanes = shed.self_join_basics().unwrap();
+        let lanes = shed.self_join_estimate().unwrap().basics;
         assert_eq!(lanes.len(), 16);
         let combined: f64 = lanes.iter().sum::<f64>() / lanes.len() as f64;
         let scalar = shed.self_join().unwrap();
@@ -1032,12 +996,15 @@ mod tests {
         }
         let slim = shed.slim().unwrap();
         assert_eq!(
-            slim.self_join().to_bits(),
+            slim.self_join_estimate().value.to_bits(),
             shed.self_join().unwrap().to_bits()
         );
         assert_eq!(slim.fingerprint(), Portable::fingerprint(&shed));
         let back = SlimJoin::decode(&slim.encode().unwrap()).unwrap();
-        assert_eq!(back.self_join().to_bits(), slim.self_join().to_bits());
+        assert_eq!(
+            back.self_join_estimate().value.to_bits(),
+            slim.self_join_estimate().value.to_bits()
+        );
         assert!(slim.encode().unwrap().len() < shed.encode().unwrap().len() / 5);
     }
 

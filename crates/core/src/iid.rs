@@ -88,7 +88,7 @@ impl IidStreamSketcher {
         }
         let a = self.alpha();
         let a2 = (self.observed - 1) as f64 / self.population as f64;
-        Ok(self.sketch.raw_self_join() / (a * a2) - self.population as f64 / a2)
+        Ok(self.sketch.raw_self_join_estimate().value / (a * a2) - self.population as f64 / a2)
     }
 
     /// Unbiased estimate of the *population* size of join against another
@@ -105,7 +105,7 @@ impl IidStreamSketcher {
                 need: 1,
             });
         }
-        let raw = self.sketch.raw_size_of_join(&other.sketch)?;
+        let raw = self.sketch.raw_size_of_join_estimate(&other.sketch)?.value;
         Ok(raw / (self.alpha() * other.alpha()))
     }
 }

@@ -50,7 +50,7 @@
 //! for i in 0..200_000u64 {
 //!     sketcher.observe(i % 1000);
 //! }
-//! let est = sketcher.self_join();
+//! let est = sketcher.self_join_estimate().value;
 //! assert!((est - 4e7).abs() / 4e7 < 0.1, "est = {est}");
 //! // Only ~10% of the stream was sketched:
 //! assert!(sketcher.kept() < 25_000);

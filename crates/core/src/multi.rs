@@ -176,14 +176,6 @@ impl Summary for MultiSummary {
 }
 
 impl JoinQuery for MultiSummary {
-    fn self_join(&self) -> f64 {
-        JoinQuery::self_join(&self.join)
-    }
-
-    fn size_of_join(&self, other: &Self) -> Result<f64> {
-        JoinQuery::size_of_join(&self.join, &other.join)
-    }
-
     fn self_join_estimate(&self) -> Estimate {
         JoinQuery::self_join_estimate(&self.join)
     }
@@ -270,8 +262,8 @@ mod tests {
         Summary::update_batch(&mut parts.quantiles, &keys);
 
         assert_eq!(
-            JoinQuery::self_join(&multi).to_bits(),
-            JoinQuery::self_join(&parts.join).to_bits()
+            JoinQuery::self_join_estimate(&multi).value.to_bits(),
+            JoinQuery::self_join_estimate(&parts.join).value.to_bits()
         );
         assert_eq!(
             TopKQuery::top_k(&multi, 10),
@@ -304,8 +296,8 @@ mod tests {
         left.merge_from(&right).unwrap();
         // Join sketches are linear: exactly equal.
         assert_eq!(
-            JoinQuery::self_join(&left).to_bits(),
-            JoinQuery::self_join(&whole).to_bits()
+            JoinQuery::self_join_estimate(&left).value.to_bits(),
+            JoinQuery::self_join_estimate(&whole).value.to_bits()
         );
         // HyperLogLog registers are max-merged: exactly equal.
         assert_eq!(

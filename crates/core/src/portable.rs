@@ -279,8 +279,8 @@ mod tests {
         assert_eq!(head.fingerprint, s.fingerprint());
         let back = JoinSketch::decode(&bytes).unwrap();
         assert_eq!(
-            back.raw_self_join().to_bits(),
-            s.raw_self_join().to_bits(),
+            back.raw_self_join_estimate().value.to_bits(),
+            s.raw_self_join_estimate().value.to_bits(),
             "decode must reproduce the estimate exactly"
         );
     }
@@ -298,8 +298,8 @@ mod tests {
         let mut through_wire = a.clone();
         through_wire.merge_encoded(&b.encode().unwrap()).unwrap();
         assert_eq!(
-            through_wire.raw_self_join().to_bits(),
-            in_memory.raw_self_join().to_bits()
+            through_wire.raw_self_join_estimate().value.to_bits(),
+            in_memory.raw_self_join_estimate().value.to_bits()
         );
     }
 
@@ -355,8 +355,8 @@ mod tests {
         let back = MultiSummary::decode(&m.encode().unwrap()).unwrap();
         assert_eq!(back.fingerprint(), m.fingerprint());
         assert_eq!(
-            crate::JoinQuery::self_join(&back).to_bits(),
-            crate::JoinQuery::self_join(&m).to_bits()
+            crate::JoinQuery::self_join_estimate(&back).value.to_bits(),
+            crate::JoinQuery::self_join_estimate(&m).value.to_bits()
         );
         assert_eq!(
             crate::DistinctQuery::distinct(&back).to_bits(),

@@ -11,7 +11,7 @@
 //!
 //! | `S` implements | corrected queries | correction |
 //! |---|---|---|
-//! | [`JoinQuery`] | [`self_join`](Sampled::self_join), [`size_of_join`](Sampled::size_of_join) | Props 13–14: `S²/p² − (1−p)/p²·|F′|`, `S·T/(p·q)` |
+//! | [`JoinQuery`] | [`self_join_estimate`](Sampled::self_join_estimate), [`size_of_join_estimate`](Sampled::size_of_join_estimate) | Props 13–14: `S²/p² − (1−p)/p²·|F′|`, `S·T/(p·q)` |
 //! | [`TopKQuery`] | [`point_estimate`](Sampled::point_estimate), [`top_k`](Sampled::top_k) | `f̂ = f′/p`, binomial thinning variance |
 //! | [`DistinctQuery`] | [`distinct_estimate`](Sampled::distinct_estimate) | frequency-domain plug-in (see below) |
 //! | [`QuantileQuery`] | [`quantile`](Sampled::quantile), [`quantile_bounds`](Sampled::quantile_bounds) | identity, with widened rank error |
@@ -30,6 +30,15 @@
 //!
 //! ```compile_fail
 //! use sss_core::SampledTopK; // removed: use `Sampled<S>`
+//! ```
+//!
+//! Its corrected join queries answer only with an [`Estimate`]:
+//!
+//! ```compile_fail
+//! use sss_core::{sketch::JoinSketch, Sampled};
+//! fn join(a: &Sampled<JoinSketch>, b: &Sampled<JoinSketch>) -> f64 {
+//!     a.size_of_join(b).unwrap() // removed: use `size_of_join_estimate`
+//! }
 //! ```
 //!
 //! Because `Sampled<S>` itself implements [`Summary`], it rides the
@@ -74,8 +83,8 @@
 //! [`Sampled::quantile_bounds`] adds (at 3σ) to the backend's own rank
 //! error before converting ranks back to value bounds. The *value-domain*
 //! variance is unknowable without a density model, so
-//! [`Sampled::quantile_estimate`] returns an honest [`Estimate::point`]
-//! and callers are pointed at the rank-based bounds.
+//! [`Sampled::quantile`] returns a bare value and callers are pointed at
+//! the rank-based bounds.
 
 use crate::error::{Error, Result};
 use crate::summary::{DistinctQuery, JoinQuery, QuantileQuery, Summary, TopKQuery};
@@ -282,14 +291,9 @@ impl<S: Summary> Summary for Sampled<S> {
 
 impl<S: Summary + JoinQuery> Sampled<S> {
     /// Bernoulli-corrected self-join (F₂) estimate of the full offered
-    /// stream (paper Proposition 14): `X = S²/p² − (1−p)/p² · |F′|`.
-    pub fn self_join(&self) -> f64 {
-        bernoulli_self_join(self.summary.self_join(), self.p, self.kept)
-    }
-
-    /// Typed corrected self-join estimate: the summary's own lane variance
-    /// scaled by `1/p⁴` plus the sampling variance plug-in of the paper's
-    /// Section VI-A, both stacked into one [`Estimate`].
+    /// stream (paper Proposition 14): `X = S²/p² − (1−p)/p² · |F′|`. The
+    /// variance stacks the summary's own lane variance scaled by `1/p⁴`
+    /// and the sampling variance plug-in of the paper's Section VI-A.
     pub fn self_join_estimate(&self) -> Estimate {
         let raw = self.summary.self_join_estimate();
         let value = bernoulli_self_join(raw.value, self.p, self.kept);
@@ -309,18 +313,9 @@ impl<S: Summary + JoinQuery> Sampled<S> {
     }
 
     /// Bernoulli-corrected size-of-join estimate against another sampled
-    /// summary (paper Proposition 13): `X = S·T/(p·q)`. The two sides may
-    /// use different inclusion probabilities.
-    ///
-    /// # Errors
-    ///
-    /// Schema mismatch between the underlying summaries.
-    pub fn size_of_join(&self, other: &Sampled<S>) -> Result<f64> {
-        Ok(self.summary.size_of_join(&other.summary)? / (self.p * other.p))
-    }
-
-    /// Typed corrected size-of-join estimate with both sketch and sampling
-    /// variance terms.
+    /// summary (paper Proposition 13): `X = S·T/(p·q)`, with both sketch
+    /// and sampling variance terms. The two sides may use different
+    /// inclusion probabilities.
     ///
     /// # Errors
     ///
@@ -334,8 +329,8 @@ impl<S: Summary + JoinQuery> Sampled<S> {
         let sampling_variance = bernoulli_size_of_join_variance_plugin(
             self.p,
             other.p,
-            self.self_join(),
-            other.self_join(),
+            self.self_join_estimate().value,
+            other.self_join_estimate().value,
             value,
         );
         Ok(Estimate {
@@ -404,19 +399,6 @@ impl<S: Summary + QuantileQuery> Sampled<S> {
     /// Invalid `q`, or nothing sampled yet.
     pub fn quantile(&self, q: f64) -> Result<f64> {
         self.summary.quantile(q)
-    }
-
-    /// Typed quantile estimate. The value-domain variance of a quantile is
-    /// unknowable without a density model, so this is an honest
-    /// [`Estimate::point`] (infinite variance); use
-    /// [`quantile_bounds`](Sampled::quantile_bounds) for the rank-based
-    /// error bar.
-    ///
-    /// # Errors
-    ///
-    /// Invalid `q`, or nothing sampled yet.
-    pub fn quantile_estimate(&self, q: f64) -> Result<Estimate> {
-        Ok(Estimate::point(self.quantile(q)?))
     }
 
     /// The summary's rank error widened by the sampling noise: backend ε
@@ -722,7 +704,7 @@ mod tests {
             }
         }
         let truth = 500.0 * 100.0 * 80.0;
-        let est = f.size_of_join(&g).unwrap();
+        let est = f.size_of_join_estimate(&g).unwrap().value;
         assert!(
             (est - truth).abs() / truth < 0.2,
             "est = {est}, truth = {truth}"
@@ -736,7 +718,6 @@ mod tests {
         let s2 = JoinSchema::fagms(1, 64, &mut r);
         let f = Sampled::new(s1.sketch(), 0.5, &mut r).unwrap();
         let g = Sampled::new(s2.sketch(), 0.5, &mut r).unwrap();
-        assert!(f.size_of_join(&g).is_err());
         assert!(f.size_of_join_estimate(&g).is_err());
     }
 
@@ -756,7 +737,7 @@ mod tests {
                     shed.observe(key);
                 }
             }
-            acc += shed.self_join();
+            acc += shed.self_join_estimate().value;
         }
         let mean = acc / reps as f64;
         assert!(
@@ -765,8 +746,8 @@ mod tests {
         );
     }
 
-    /// The typed join estimates return the scalar queries' values bit for
-    /// bit and decompose the variance into sketch + sampling parts.
+    /// The join estimates apply Propositions 13–14 to the raw sketch value
+    /// bit for bit and decompose the variance into sketch + sampling parts.
     #[test]
     fn typed_join_estimates_decompose_the_variance() {
         let mut r = rng(21);
@@ -777,22 +758,29 @@ mod tests {
             shed.observe(k % 200);
             full.observe(k % 200);
         }
+        let raw = shed.summary().raw_self_join_estimate().value;
         let e = shed.self_join_estimate();
-        assert_eq!(e.value.to_bits(), shed.self_join().to_bits());
+        assert_eq!(
+            e.value.to_bits(),
+            bernoulli_self_join(raw, 0.4, shed.kept()).to_bits()
+        );
         assert_eq!(e.basics.len(), 32);
         assert!(e.variance.is_finite() && e.variance > 0.0);
         // An unshedded estimator has no sampling noise: its variance is
         // pure sketch spread, strictly below the shedded one's on the same
         // stream (the 1/p⁴ scaling plus the sampling term).
         let ef = full.self_join_estimate();
-        assert_eq!(ef.value.to_bits(), full.self_join().to_bits());
-        assert_eq!(ef.value.to_bits(), full.summary().raw_self_join().to_bits());
+        assert_eq!(
+            ef.value.to_bits(),
+            full.summary().raw_self_join_estimate().value.to_bits()
+        );
         assert!(ef.variance < e.variance);
 
+        let raw = shed.summary().raw_size_of_join_estimate(full.summary());
         let ej = shed.size_of_join_estimate(&full).unwrap();
         assert_eq!(
             ej.value.to_bits(),
-            shed.size_of_join(&full).unwrap().to_bits()
+            (raw.unwrap().value / (shed.probability() * full.probability())).to_bits()
         );
         assert!(ej.variance.is_finite());
         // The interval machinery is reachable end to end.
@@ -854,9 +842,6 @@ mod tests {
             );
             let (lo, hi) = q.quantile_bounds(target).unwrap();
             assert!(lo <= est && est <= hi);
-            // The honest point estimate: no density model, no variance.
-            let typed = q.quantile_estimate(target).unwrap();
-            assert!(typed.variance.is_infinite());
         }
         // Sampling widens the rank error beyond the backend's own ε.
         assert!(q.rank_error(0.5) > q.summary().rank_error());

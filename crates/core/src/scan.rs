@@ -126,7 +126,8 @@ impl ScanSketcher {
         } else {
             (self.scanned - 1) as f64 / (self.population - 1) as f64
         };
-        Ok(self.sketch.raw_self_join() / (a * a1) - (1.0 - a1) / a1 * self.population as f64)
+        Ok(self.sketch.raw_self_join_estimate().value / (a * a1)
+            - (1.0 - a1) / a1 * self.population as f64)
     }
 
     /// Running estimate of the **correlation** between the two scanned
@@ -169,7 +170,7 @@ impl ScanSketcher {
                 need: 1,
             });
         }
-        let raw = self.sketch.raw_size_of_join(&other.sketch)?;
+        let raw = self.sketch.raw_size_of_join_estimate(&other.sketch)?.value;
         Ok(raw / (self.progress() * other.progress()))
     }
 }
@@ -210,7 +211,7 @@ mod tests {
         assert_eq!(s.progress(), 1.0);
         // α = α₁ = 1: the correction vanishes exactly.
         let est = s.self_join().unwrap();
-        assert!((est - s.sketch().raw_self_join()).abs() < 1e-9);
+        assert!((est - s.sketch().raw_self_join_estimate().value).abs() < 1e-9);
         // And one more tuple is an overrun.
         assert!(matches!(s.observe(0), Err(Error::ScanOverrun { .. })));
     }

@@ -104,24 +104,6 @@ impl JoinSketch {
         }
     }
 
-    /// Raw (unscaled) self-join estimate of whatever was sketched.
-    pub fn raw_self_join(&self) -> f64 {
-        match self {
-            JoinSketch::Agms(s) => s.self_join(),
-            JoinSketch::Fagms(s) => s.self_join(),
-        }
-    }
-
-    /// Raw (unscaled) size-of-join estimate against another sketch of the
-    /// same schema.
-    pub fn raw_size_of_join(&self, other: &JoinSketch) -> Result<f64> {
-        match (self, other) {
-            (JoinSketch::Agms(a), JoinSketch::Agms(b)) => Ok(a.size_of_join(b)?),
-            (JoinSketch::Fagms(a), JoinSketch::Fagms(b)) => Ok(a.size_of_join(b)?),
-            _ => Err(sss_sketch::Error::SchemaMismatch.into()),
-        }
-    }
-
     /// Merge another sketch of the same schema (stream union).
     pub fn merge(&mut self, other: &JoinSketch) -> Result<()> {
         match (self, other) {
@@ -132,10 +114,10 @@ impl JoinSketch {
     }
 
     /// Subtract another sketch of the same schema; afterwards this sketch
-    /// summarizes the frequency difference, so [`raw_self_join`] estimates
-    /// the squared L2 distance `Σᵢ(fᵢ−gᵢ)²` (change detection).
+    /// summarizes the frequency difference, so [`raw_self_join_estimate`]
+    /// estimates the squared L2 distance `Σᵢ(fᵢ−gᵢ)²` (change detection).
     ///
-    /// [`raw_self_join`]: JoinSketch::raw_self_join
+    /// [`raw_self_join_estimate`]: JoinSketch::raw_self_join_estimate
     pub fn subtract(&mut self, other: &JoinSketch) -> Result<()> {
         match (self, other) {
             (JoinSketch::Agms(a), JoinSketch::Agms(b)) => Ok(a.subtract(b)?),
@@ -154,8 +136,9 @@ impl JoinSketch {
     }
 
     /// The independent per-lane basic self-join estimates: `Sₖ²` per AGMS
-    /// counter, `Σ_b c_b²` per F-AGMS row. `raw_self_join()` is the
-    /// mean (AGMS) or median (F-AGMS) of these lanes.
+    /// counter, `Σ_b c_b²` per F-AGMS row. The value of
+    /// [`raw_self_join_estimate`](JoinSketch::raw_self_join_estimate) is
+    /// the mean (AGMS) or median (F-AGMS) of these lanes.
     pub fn self_join_basics(&self) -> Vec<f64> {
         match self {
             JoinSketch::Agms(s) => s.self_join_basics(),
@@ -173,8 +156,8 @@ impl JoinSketch {
         }
     }
 
-    /// Typed raw self-join estimate with empirical error state; the value
-    /// is bit-identical to [`JoinSketch::raw_self_join`].
+    /// Raw (unscaled) self-join estimate of whatever was sketched, with
+    /// empirical error state.
     pub fn raw_self_join_estimate(&self) -> Estimate {
         match self {
             JoinSketch::Agms(s) => s.self_join_estimate(),
@@ -182,8 +165,8 @@ impl JoinSketch {
         }
     }
 
-    /// Typed raw size-of-join estimate; the value is bit-identical to
-    /// [`JoinSketch::raw_size_of_join`].
+    /// Raw (unscaled) size-of-join estimate against another sketch of the
+    /// same schema, with empirical error state.
     pub fn raw_size_of_join_estimate(&self, other: &JoinSketch) -> Result<Estimate> {
         match (self, other) {
             (JoinSketch::Agms(a), JoinSketch::Agms(b)) => Ok(a.size_of_join_estimate(b)?),
@@ -198,7 +181,7 @@ impl JoinSketch {
     /// conservative median variance for F-AGMS.
     ///
     /// `value` overrides the combined point estimate so callers keep their
-    /// exact legacy floating-point path; `single_lane_variance` is the
+    /// own exact accumulation order; `single_lane_variance` is the
     /// analytic fallback used when the lanes carry no empirical spread
     /// (fewer than two lanes).
     pub fn combine_lanes(
@@ -235,7 +218,7 @@ mod tests {
             for k in 0..500u64 {
                 s.update(k, (k % 4 + 1) as i64);
             }
-            let est = s.raw_self_join();
+            let est = s.raw_self_join_estimate().value;
             assert!(
                 (est - truth).abs() / truth < 0.2,
                 "est = {est}, truth = {truth}"
@@ -248,7 +231,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let a = JoinSchema::agms(8, &mut rng).sketch();
         let mut b = JoinSchema::fagms(2, 8, &mut rng).sketch();
-        assert!(a.raw_size_of_join(&b).is_err());
+        assert!(a.raw_size_of_join_estimate(&b).is_err());
         assert!(b.merge(&a).is_err());
     }
 
@@ -279,6 +262,9 @@ mod tests {
             }
         }
         part1.merge(&part2).unwrap();
-        assert_eq!(part1.raw_self_join(), whole.raw_self_join());
+        assert_eq!(
+            part1.raw_self_join_estimate(),
+            whole.raw_self_join_estimate()
+        );
     }
 }

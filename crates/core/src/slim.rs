@@ -21,9 +21,9 @@
 //! structurally need the full counters return
 //! [`Error::UnsupportedQuery`] instead of lying:
 //!
-//! * [`SlimJoin`] answers `self_join`/`self_join_estimate` exactly, but
-//!   `size_of_join` against another summary needs both counter matrices —
-//!   typed error.
+//! * [`SlimJoin`] answers `self_join_estimate` exactly, but
+//!   `size_of_join_estimate` against another summary needs both counter
+//!   matrices — typed error.
 //! * [`SlimTopK`] answers `top_k`/`frequency` for tracked candidates
 //!   exactly; frequencies of *untracked* keys report `0.0` (for
 //!   Misra–Gries that equals the fat answer; for Count-Sketch top-k the
@@ -68,22 +68,11 @@ impl SlimJoin {
             fingerprint,
         }
     }
-
-    /// The projected estimate (value bit-identical to the fat summary's
-    /// `self_join()` at projection time).
-    pub fn estimate(&self) -> &Estimate {
-        &self.estimate
-    }
-
-    /// Number of per-lane basics carried (the slim state's size driver).
-    pub fn lanes(&self) -> usize {
-        self.estimate.basics.len()
-    }
 }
 
 impl JoinQuery for SlimJoin {
-    fn self_join(&self) -> f64 {
-        self.estimate.value
+    fn self_join_estimate(&self) -> Estimate {
+        self.estimate.clone()
     }
 
     /// Slim stages carry lane aggregates, not counters; a cross-summary
@@ -92,17 +81,6 @@ impl JoinQuery for SlimJoin {
     /// # Errors
     ///
     /// Always [`Error::UnsupportedQuery`].
-    fn size_of_join(&self, _other: &Self) -> Result<f64> {
-        Err(Error::UnsupportedQuery {
-            query: "size_of_join",
-            summary: "SlimJoin",
-        })
-    }
-
-    fn self_join_estimate(&self) -> Estimate {
-        self.estimate.clone()
-    }
-
     fn size_of_join_estimate(&self, _other: &Self) -> Result<Estimate> {
         Err(Error::UnsupportedQuery {
             query: "size_of_join_estimate",
@@ -309,14 +287,6 @@ impl SlimMultiSummary {
 }
 
 impl JoinQuery for SlimMultiSummary {
-    fn self_join(&self) -> f64 {
-        self.join.self_join()
-    }
-
-    fn size_of_join(&self, other: &Self) -> Result<f64> {
-        self.join.size_of_join(&other.join)
-    }
-
     fn self_join_estimate(&self) -> Estimate {
         self.join.self_join_estimate()
     }
@@ -526,12 +496,19 @@ mod tests {
     fn slim_join_answers_bit_identically_and_shrinks() {
         let fat = fed_join_sketch(1);
         let slim = fat.slim();
-        assert_eq!(slim.self_join().to_bits(), fat.raw_self_join().to_bits());
+        assert_eq!(
+            slim.self_join_estimate().value.to_bits(),
+            fat.raw_self_join_estimate().value.to_bits()
+        );
         let fe = fat.raw_self_join_estimate();
         let se = slim.self_join_estimate();
         assert_eq!(se.value.to_bits(), fe.value.to_bits());
         assert_eq!(se.variance.to_bits(), fe.variance.to_bits());
-        assert_eq!(slim.lanes(), 5, "one lane per F-AGMS row");
+        assert_eq!(
+            slim.self_join_estimate().basics.len(),
+            5,
+            "one lane per F-AGMS row"
+        );
         let fat_bytes = fat.encode().unwrap().len();
         let slim_bytes = slim.encode().unwrap().len();
         assert!(
@@ -544,7 +521,7 @@ mod tests {
     fn slim_join_refuses_cross_joins_and_round_trips() {
         let slim = fed_join_sketch(2).slim();
         assert!(matches!(
-            slim.size_of_join(&slim),
+            slim.size_of_join_estimate(&slim),
             Err(Error::UnsupportedQuery { .. })
         ));
         let back = SlimJoin::decode(&slim.encode().unwrap()).unwrap();
@@ -602,8 +579,8 @@ mod tests {
         Summary::update_batch(&mut fat, &keys);
         let slim = fat.slim();
         assert_eq!(
-            slim.self_join().to_bits(),
-            JoinQuery::self_join(&fat).to_bits()
+            slim.self_join_estimate().value.to_bits(),
+            JoinQuery::self_join_estimate(&fat).value.to_bits()
         );
         assert_eq!(slim.top_k(10), TopKQuery::top_k(&fat, 10));
         assert_eq!(
@@ -616,7 +593,10 @@ mod tests {
         );
         assert_eq!(slim.stream_len(), keys.len() as u64);
         let back = SlimMultiSummary::decode(&slim.encode().unwrap()).unwrap();
-        assert_eq!(back.self_join().to_bits(), slim.self_join().to_bits());
+        assert_eq!(
+            back.self_join_estimate().value.to_bits(),
+            slim.self_join_estimate().value.to_bits()
+        );
         assert_eq!(back.fingerprint(), Portable::fingerprint(&fat));
         let fat_bytes = fat.encode().unwrap().len();
         let slim_bytes = slim.encode().unwrap().len();
@@ -629,8 +609,10 @@ mod tests {
     #[test]
     fn infinite_variance_survives_the_wire() {
         let slim = SlimJoin::project(9, Estimate::point(42.0));
-        let back = SlimJoin::decode(&slim.encode().unwrap()).unwrap();
-        assert!(back.estimate().variance.is_infinite());
-        assert_eq!(back.estimate().value.to_bits(), 42.0f64.to_bits());
+        let back = SlimJoin::decode(&slim.encode().unwrap())
+            .unwrap()
+            .self_join_estimate();
+        assert!(back.variance.is_infinite());
+        assert_eq!(back.value.to_bits(), 42.0f64.to_bits());
     }
 }

@@ -1,18 +1,14 @@
 //! The layered `Summary` hierarchy — one ingestion contract, four query
 //! capabilities.
 //!
-//! Historically each sketch family exposed its own ad-hoc surface
-//! (`AgmsSketch::self_join`, `FagmsSketch::size_of_join`,
-//! `JoinSketch::raw_self_join`, …), the streaming layer was hard-coded to
-//! [`JoinSketch`], and the only query capability beyond joins (top-k) was
-//! bolted on through `sss_sketch::topk::HeavyHitters`. The redesign splits
-//! the contract into one base trait and standalone capability traits:
+//! The contract is one base trait plus standalone capability traits:
 //!
 //! * [`Summary`] is the *ingestion* contract the sharded runtime and the
 //!   snapshot cache are generic over: anything that can absorb keyed
 //!   updates and merge with a peer built from the same seeds.
 //! * [`JoinQuery`] adds the paper's two join-size queries (F₂ /
-//!   size-of-join).
+//!   size-of-join), each answered as an [`Estimate`]: the value plus the
+//!   empirical variance and per-lane basics it came from.
 //! * [`TopKQuery`] adds heavy-hitter point and top-k queries, absorbing
 //!   the `HeavyHitters` plumbing behind a typed surface.
 //! * [`DistinctQuery`] adds distinct-count (F₀) queries, served by
@@ -50,6 +46,14 @@
 //! use sss_core::JoinEstimator; // removed: use `sss_core::JoinQuery`
 //! ```
 //!
+//! So are the scalar join twins of the [`Estimate`] queries:
+//!
+//! ```compile_fail
+//! fn f2<S: sss_core::JoinQuery>(s: &S) -> f64 {
+//!     s.self_join() // removed: use `s.self_join_estimate().value`
+//! }
+//! ```
+//!
 //! A summary implements whichever capabilities it can actually answer;
 //! [`crate::MultiSummary`] implements all four by fanning one
 //! `update_batch` into a join sketch, a Count-Sketch top-k tracker, a
@@ -75,12 +79,13 @@
 //!   monotone or lossy summaries (HyperLogLog, KLL, Misra–Gries) honestly
 //!   return `false` and the cache falls back to a full re-merge.
 //!
-//! Why bit-identity is load-bearing: every pre-redesign query path
-//! (scalar vs typed, scalar vs batched, merged vs single-stream) is pinned
-//! by property tests that compare `f64::to_bits`. The hierarchy is a pure
-//! re-layering — the same code runs under new names — so those pins keep
-//! holding through the migration, which is what makes the refactor safe to
-//! land in one PR.
+//! Why bit-identity is load-bearing: every query path (batched vs
+//! per-key, merged vs single-stream, slim vs fat) is pinned by property
+//! tests that compare `f64::to_bits`, and each join estimate's `.value`
+//! is pinned to an independent expression of its backend's lane combiner
+//! (mean, median, minimum). Those pins are what make deleting or
+//! re-layering code safe: the same arithmetic must run under the new
+//! shape.
 
 use crate::error::{Error, Result};
 use crate::sketch::JoinSketch;
@@ -156,42 +161,19 @@ pub trait Summary: Clone + Send + 'static {
 /// ingestion contract; ingest-capable callers bound `Summary + JoinQuery`.
 pub trait JoinQuery {
     /// Raw self-join (second frequency moment) estimate of the summarized
-    /// stream.
-    fn self_join(&self) -> f64;
+    /// stream: the point value plus an empirical variance and the per-lane
+    /// basics it came from. An implementation without an error model
+    /// returns [`Estimate::point`] (infinite variance, no basics).
+    fn self_join_estimate(&self) -> Estimate;
 
     /// Raw size-of-join estimate against a peer built from the same
-    /// schema.
-    ///
-    /// # Errors
-    ///
-    /// Schema mismatch, as for [`merge_from`](Summary::merge_from).
-    fn size_of_join(&self, other: &Self) -> Result<f64>;
-
-    /// Typed self-join estimate with error state: same value as
-    /// [`self_join`](JoinQuery::self_join) (bit-identical for the provided
-    /// implementations), plus an empirical variance and the per-lane
-    /// basics it came from.
-    ///
-    /// The default implementation wraps [`self_join`] in
-    /// [`Estimate::point`] — infinite variance, no basics — so external
-    /// implementations keep compiling and honestly report that they carry
-    /// no error state.
-    ///
-    /// [`self_join`]: JoinQuery::self_join
-    fn self_join_estimate(&self) -> Estimate {
-        Estimate::point(self.self_join())
-    }
-
-    /// Typed size-of-join estimate with error state; defaults to a
-    /// zero-information [`Estimate::point`] like
+    /// schema, with error state as for
     /// [`self_join_estimate`](JoinQuery::self_join_estimate).
     ///
     /// # Errors
     ///
     /// Schema mismatch, as for [`merge_from`](Summary::merge_from).
-    fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
-        Ok(Estimate::point(self.size_of_join(other)?))
-    }
+    fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate>;
 }
 
 /// The capability of answering heavy-hitter queries: per-key frequency
@@ -404,14 +386,6 @@ impl<F> JoinQuery for AgmsSketch<F>
 where
     F: SignFamily + Send + Sync + 'static,
 {
-    fn self_join(&self) -> f64 {
-        AgmsSketch::self_join(self)
-    }
-
-    fn size_of_join(&self, other: &Self) -> Result<f64> {
-        Ok(AgmsSketch::size_of_join(self, other)?)
-    }
-
     fn self_join_estimate(&self) -> Estimate {
         AgmsSketch::self_join_estimate(self)
     }
@@ -452,14 +426,6 @@ where
     S: SignFamily + Send + Sync + 'static,
     B: BucketFamily + Send + Sync + 'static,
 {
-    fn self_join(&self) -> f64 {
-        FagmsSketch::self_join(self)
-    }
-
-    fn size_of_join(&self, other: &Self) -> Result<f64> {
-        Ok(FagmsSketch::size_of_join(self, other)?)
-    }
-
     fn self_join_estimate(&self) -> Estimate {
         FagmsSketch::self_join_estimate(self)
     }
@@ -498,14 +464,6 @@ impl<B> JoinQuery for CountMinSketch<B>
 where
     B: BucketFamily + Send + Sync + 'static,
 {
-    fn self_join(&self) -> f64 {
-        CountMinSketch::self_join(self)
-    }
-
-    fn size_of_join(&self, other: &Self) -> Result<f64> {
-        Ok(CountMinSketch::size_of_join(self, other)?)
-    }
-
     fn self_join_estimate(&self) -> Estimate {
         CountMinSketch::self_join_estimate(self)
     }
@@ -538,14 +496,6 @@ impl Summary for JoinSketch {
 }
 
 impl JoinQuery for JoinSketch {
-    fn self_join(&self) -> f64 {
-        self.raw_self_join()
-    }
-
-    fn size_of_join(&self, other: &Self) -> Result<f64> {
-        self.raw_size_of_join(other)
-    }
-
     fn self_join_estimate(&self) -> Estimate {
         self.raw_self_join_estimate()
     }
@@ -707,7 +657,14 @@ mod tests {
 
     /// Exercise one implementation generically: batch vs scalar identity,
     /// merge-equals-union, and a self-join in the right ballpark.
-    fn exercise<E: Summary + JoinQuery>(make: impl Fn() -> E, tolerance: f64) {
+    /// `combine` is the backend's lane combiner: each `.value` is pinned
+    /// bit for bit to it, applied to the estimate's own lane basics.
+    fn exercise<E: Summary + JoinQuery>(
+        make: impl Fn() -> E,
+        combine: fn(&[f64]) -> f64,
+        tolerance: f64,
+    ) {
+        let f2 = |e: &E| e.self_join_estimate().value;
         let keys: Vec<u64> = (0..4_000u64).map(|i| i % 100).collect();
         let mut scalar = make();
         for &k in &keys {
@@ -716,8 +673,8 @@ mod tests {
         let mut batched = make();
         Summary::update_batch(&mut batched, &keys);
         assert_eq!(
-            JoinQuery::self_join(&scalar).to_bits(),
-            JoinQuery::self_join(&batched).to_bits(),
+            f2(&scalar).to_bits(),
+            f2(&batched).to_bits(),
             "batch must replay the scalar path exactly"
         );
         // Merge = union: split the stream in two and merge the halves.
@@ -727,28 +684,27 @@ mod tests {
         Summary::update_batch(&mut right, &keys[keys.len() / 2..]);
         left.merge_from(&right).unwrap();
         assert_eq!(
-            JoinQuery::self_join(&left).to_bits(),
-            JoinQuery::self_join(&scalar).to_bits(),
+            f2(&left).to_bits(),
+            f2(&scalar).to_bits(),
             "merge must equal sketching the union"
         );
         let truth = 100.0 * 40.0 * 40.0;
-        let est = JoinQuery::self_join(&scalar);
+        let e = scalar.self_join_estimate();
+        let est = e.value;
         assert!(
             (est - truth).abs() / truth < tolerance,
             "est = {est}, truth = {truth}"
         );
-        // size_of_join against itself agrees with self_join for the ±1
-        // sketches and the Count-Min inner product alike.
-        let sj = JoinQuery::size_of_join(&scalar, &scalar).unwrap();
-        assert!((sj - est).abs() <= est.abs() * 1e-9 + 1e-9);
-        // The typed estimates return the same values bit for bit, and the
-        // multi-lane backends report a finite, usable error bar.
-        let e = scalar.self_join_estimate();
-        assert_eq!(e.value.to_bits(), est.to_bits());
+        // The value is the backend's lane combiner, and the multi-lane
+        // backends report a finite, usable error bar.
+        assert_eq!(est.to_bits(), combine(&e.basics).to_bits());
         assert!(e.variance.is_finite());
         assert!(e.chebyshev(0.95).unwrap().contains(e.value));
-        let ej = scalar.size_of_join_estimate(&scalar).unwrap();
-        assert_eq!(ej.value.to_bits(), sj.to_bits());
+        // size_of_join against itself agrees with self_join for the ±1
+        // sketches and the Count-Min inner product alike.
+        let ej = scalar.size_of_join_estimate(&batched).unwrap();
+        assert_eq!(ej.value.to_bits(), combine(&ej.basics).to_bits());
+        assert!((ej.value - est).abs() <= est.abs() * 1e-9 + 1e-9);
         // Retraction is the exact inverse of merge for every linear
         // backend: retract(old) then merge(new) lands bit-identically on
         // the fresh merge — the delta-rebuild contract the sharded
@@ -764,30 +720,32 @@ mod tests {
         let mut fresh = make();
         fresh.merge_from(&grown).unwrap();
         assert_eq!(
-            JoinQuery::self_join(&merged).to_bits(),
-            JoinQuery::self_join(&fresh).to_bits(),
+            f2(&merged).to_bits(),
+            f2(&fresh).to_bits(),
             "retract + merge must equal a fresh merge exactly"
         );
     }
 
     #[test]
     fn all_four_join_backends_satisfy_the_contract() {
+        use sss_sketch::estimate::{mean, median};
+        let min = |lanes: &[f64]| lanes.iter().copied().fold(f64::INFINITY, f64::min);
         let mut rng = StdRng::seed_from_u64(7);
         let agms: AgmsSchema = AgmsSchema::new(256, &mut rng);
-        exercise(move || agms.sketch(), 0.25);
+        exercise(move || agms.sketch(), mean, 0.25);
         let fagms: FagmsSchema = FagmsSchema::new(3, 1024, &mut rng);
-        exercise(move || fagms.sketch(), 0.25);
+        exercise(move || fagms.sketch(), median, 0.25);
         // Count-Min overestimates F₂ by collisions; with width ≫ distinct
-        // keys the bias is tiny.
+        // keys the bias is tiny. Its value is the minimum row product.
         let cm: CountMinSchema = CountMinSchema::new(3, 4096, &mut rng);
-        exercise(move || cm.sketch(), 0.25);
+        exercise(move || cm.sketch(), min, 0.25);
         let schema = JoinSchema::fagms(2, 1024, &mut rng);
-        exercise(move || schema.sketch(), 0.25);
+        exercise(move || schema.sketch(), median, 0.25);
     }
 
-    /// A minimal external implementor relying entirely on the default
-    /// methods: the redesign must not force it to change, and its
-    /// estimates must honestly report zero information.
+    /// A minimal external implementor with no error model: it implements
+    /// the two estimate methods as [`Estimate::point`] and leans on the
+    /// [`Summary`] retraction defaults, which must honestly refuse.
     #[test]
     fn trait_defaults_keep_external_implementors_compiling() {
         #[derive(Clone)]
@@ -809,15 +767,16 @@ mod tests {
             }
         }
         impl JoinQuery for ExactCounter {
-            fn self_join(&self) -> f64 {
-                self.0.values().map(|&c| (c * c) as f64).sum()
+            fn self_join_estimate(&self) -> Estimate {
+                self.size_of_join_estimate(self).unwrap()
             }
-            fn size_of_join(&self, other: &Self) -> Result<f64> {
-                Ok(self
-                    .0
-                    .iter()
-                    .map(|(k, &c)| c as f64 * other.0.get(k).copied().unwrap_or(0) as f64)
-                    .sum())
+            fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
+                Ok(Estimate::point(
+                    self.0
+                        .iter()
+                        .map(|(k, &c)| c as f64 * other.0.get(k).copied().unwrap_or(0) as f64)
+                        .sum(),
+                ))
             }
         }
         let mut e = ExactCounter(Default::default());
@@ -830,11 +789,11 @@ mod tests {
             Err(crate::Error::RetractUnsupported)
         ));
         let est = e.self_join_estimate();
-        assert_eq!(est.value, e.self_join());
+        assert_eq!(est.value, 6.0);
         assert!(est.variance.is_infinite());
         assert!(est.basics.is_empty());
         let sj = e.size_of_join_estimate(&e).unwrap();
-        assert_eq!(sj.value, e.self_join());
+        assert_eq!(sj.value, 6.0);
         assert!(sj.chebyshev(0.99).unwrap().half_width().is_infinite());
     }
 
@@ -844,7 +803,7 @@ mod tests {
         let a = JoinSchema::agms(8, &mut rng).sketch();
         let mut b = JoinSchema::fagms(1, 8, &mut rng).sketch();
         assert!(b.merge_from(&a).is_err());
-        assert!(JoinQuery::size_of_join(&a, &b).is_err());
+        assert!(JoinQuery::size_of_join_estimate(&a, &b).is_err());
     }
 
     /// The top-k capability surfaces the raw heavy-hitter queries with a

@@ -27,12 +27,12 @@ fn schema_and_sketch_roundtrip_both_backends() {
             b.update(k % 37, 1);
         }
         // Identical seeds ⇒ identical estimates, and cross-joinable.
-        assert_eq!(a.raw_self_join(), b.raw_self_join());
-        assert!(a.raw_size_of_join(&b).is_ok());
+        assert_eq!(a.raw_self_join_estimate(), b.raw_self_join_estimate());
+        assert!(a.raw_size_of_join_estimate(&b).is_ok());
 
         let sketch_json = serde_json::to_string(&a).unwrap();
         let a2: JoinSketch = serde_json::from_str(&sketch_json).unwrap();
-        assert_eq!(a2.raw_self_join(), a.raw_self_join());
+        assert_eq!(a2.raw_self_join_estimate(), a.raw_self_join_estimate());
     }
 }
 
@@ -62,7 +62,8 @@ fn distributed_shedding_merges_to_one_estimate() {
         let part: JoinSketch = serde_json::from_str(payload).unwrap();
         merged.merge(&part).unwrap();
     }
-    let est = merged.raw_self_join() / (p * p) - (1.0 - p) / (p * p) * total_kept as f64;
+    let est =
+        merged.raw_self_join_estimate().value / (p * p) - (1.0 - p) / (p * p) * total_kept as f64;
 
     // Truth: 1000 keys × 600 copies.
     let truth = 1000.0 * 600.0 * 600.0;

@@ -91,7 +91,7 @@ fn bernoulli_combined_self_join_matches_theory() {
                 kept += 1;
             }
         }
-        xs.push(u * sk.self_join() + v * kept as f64 + c);
+        xs.push(u * sk.self_join_estimate().value + v * kept as f64 + c);
     }
     let theory = engine::sketch_sample_sjs(&scheme, &f, n_avg).unwrap();
     assert_moments(empirical(&xs), theory, reps, "bernoulli sjs");
@@ -127,7 +127,7 @@ fn bernoulli_combined_size_of_join_matches_theory() {
                 t.update(k, 1);
             }
         }
-        xs.push(c * s.size_of_join(&t).unwrap());
+        xs.push(c * s.size_of_join_estimate(&t).unwrap().value);
     }
     let theory = engine::sketch_sample_sj(&sp, &f, &sq, &g, n_avg).unwrap();
     assert_moments(empirical(&xs), theory, reps, "bernoulli sj");
@@ -151,7 +151,7 @@ fn wr_combined_self_join_matches_theory() {
         for k in sample_with_replacement(&tuples, m, &mut rng).unwrap() {
             sk.update(k, 1);
         }
-        xs.push(u * sk.self_join() + v * m as f64 + c);
+        xs.push(u * sk.self_join_estimate().value + v * m as f64 + c);
     }
     let theory = engine::sketch_sample_sjs(&scheme, &f, n_avg).unwrap();
     assert_moments(empirical(&xs), theory, reps, "wr sjs");
@@ -175,7 +175,7 @@ fn wor_combined_self_join_matches_theory() {
         for k in sample_without_replacement(&tuples, m, &mut rng).unwrap() {
             sk.update(k, 1);
         }
-        xs.push(u * sk.self_join() + v * m as f64 + c);
+        xs.push(u * sk.self_join_estimate().value + v * m as f64 + c);
     }
     let theory = engine::sketch_sample_sjs(&scheme, &f, n_avg).unwrap();
     assert_moments(empirical(&xs), theory, reps, "wor sjs");
@@ -205,7 +205,7 @@ fn wr_combined_size_of_join_matches_theory() {
         for k in sample_with_replacement(&tg, mg, &mut rng).unwrap() {
             t.update(k, 1);
         }
-        xs.push(c * s.size_of_join(&t).unwrap());
+        xs.push(c * s.size_of_join_estimate(&t).unwrap().value);
     }
     let theory = engine::sketch_sample_sj(&sf, &f, &sg, &g, n_avg).unwrap();
     assert_moments(empirical(&xs), theory, reps, "wr sj");
@@ -235,7 +235,7 @@ fn wor_combined_size_of_join_matches_theory() {
         for k in sample_without_replacement(&tg, mg, &mut rng).unwrap() {
             t.update(k, 1);
         }
-        xs.push(c * s.size_of_join(&t).unwrap());
+        xs.push(c * s.size_of_join_estimate(&t).unwrap().value);
     }
     let theory = engine::sketch_sample_sj(&sf, &f, &sg, &g, n_avg).unwrap();
     assert_moments(empirical(&xs), theory, reps, "wor sj");
@@ -266,7 +266,7 @@ fn averaging_cannot_erase_the_sampling_variance() {
                 kept += 1;
             }
         }
-        xs.push(u * sk.self_join() + v * kept as f64 + c);
+        xs.push(u * sk.self_join_estimate().value + v * kept as f64 + c);
     }
     let emp = empirical(&xs);
     let sampling_floor = engine::sampling_sjs(&scheme, &f).unwrap().variance;

@@ -70,7 +70,7 @@ fn run_config(seed: u64) {
                             kept += 1;
                         }
                     }
-                    u * sk.self_join() + v * kept as f64 + c
+                    u * sk.self_join_estimate().value + v * kept as f64 + c
                 }),
             )
         }
@@ -88,7 +88,7 @@ fn run_config(seed: u64) {
                     for t in sample_with_replacement(&tuples, m, r).unwrap() {
                         sk.update(t, 1);
                     }
-                    u * sk.self_join() + v * m as f64 + c
+                    u * sk.self_join_estimate().value + v * m as f64 + c
                 }),
             )
         }
@@ -106,7 +106,7 @@ fn run_config(seed: u64) {
                     for t in sample_without_replacement(&tuples, m, r).unwrap() {
                         sk.update(t, 1);
                     }
-                    u * sk.self_join() + v * m as f64 + c
+                    u * sk.self_join_estimate().value + v * m as f64 + c
                 }),
             )
         }

@@ -256,7 +256,7 @@ impl QueryClient {
     pub fn self_join_bits(&mut self) -> Result<f64> {
         let line = self.request("{\"cmd\":\"self_join\"}")?;
         expect_ok(&line)?;
-        protocol::response_u64(&line, "value_bits")
+        protocol::response_field(&line, "value_bits")
             .map(wire::f64_of)
             .ok_or_else(|| response_error("self_join response missing value_bits", &line))
     }

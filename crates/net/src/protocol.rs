@@ -51,6 +51,9 @@
 //! {"cmd":"shutdown"}
 //! ```
 //!
+//! A request line longer than [`MAX_QUERY_LINE`] gets one error reply
+//! and the connection is closed.
+//!
 //! Responses are one JSON object per line; every `f64` that must
 //! round-trip exactly (point estimates compared against oracles) also
 //! travels as its IEEE-754 bit pattern in a sibling `*_bits` field,
@@ -79,6 +82,12 @@ pub const FRAME_ERROR: u8 = 0x7f;
 /// a non-protocol client (an HTTP request line reads as a gigantic
 /// little-endian length).
 pub const MAX_FRAME: u32 = 1 << 22;
+
+/// Query-line ceiling (64 KiB): a request line longer than this, with
+/// or without its newline, is answered with one `{"ok":false,...}`
+/// error and the connection is closed, so a client that never sends a
+/// newline cannot grow the server's line buffer without bound.
+pub const MAX_QUERY_LINE: usize = 1 << 16;
 
 /// Largest key count a `BATCH` frame can carry under [`MAX_FRAME`].
 pub const MAX_BATCH_KEYS: usize = ((MAX_FRAME as usize) - 1 - 4) / 8;
@@ -420,20 +429,11 @@ fn take_json_string(s: &str) -> Result<(String, &str), String> {
     Err("unterminated string".into())
 }
 
-/// Extract a numeric field from a flat JSON response line — the client
-/// side of the hand-rolled convention. Returns `None` when the field
-/// is absent or non-numeric.
-pub fn response_f64(line: &str, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let at = line.find(&needle)? + needle.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Extract a `u64` field (typically `*_bits` IEEE-754 payloads) from a
-/// flat JSON response line.
-pub fn response_u64(line: &str, field: &str) -> Option<u64> {
+/// Extract a numeric field (`f64` values, `u64` `*_bits` IEEE-754
+/// payloads) from a flat JSON response line — the client side of the
+/// hand-rolled convention. Returns `None` when the field is absent or
+/// does not parse as `T`.
+pub fn response_field<T: std::str::FromStr>(line: &str, field: &str) -> Option<T> {
     let needle = format!("\"{field}\":");
     let at = line.find(&needle)? + needle.len();
     let rest = &line[at..];
@@ -564,8 +564,11 @@ mod tests {
     #[test]
     fn response_fields_extract() {
         let line = r#"{"ok":true,"value":12.5,"value_bits":4622945017495814144,"n":3}"#;
-        assert_eq!(response_f64(line, "value"), Some(12.5));
-        assert_eq!(response_u64(line, "value_bits"), Some(4622945017495814144));
-        assert_eq!(response_f64(line, "missing"), None);
+        assert_eq!(response_field(line, "value"), Some(12.5));
+        assert_eq!(
+            response_field(line, "value_bits"),
+            Some(4622945017495814144u64)
+        );
+        assert_eq!(response_field::<f64>(line, "missing"), None);
     }
 }

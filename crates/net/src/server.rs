@@ -682,11 +682,44 @@ fn mirror_pool(stats: &StatsInner, runtime: &ShardedRuntime<MultiSummary>) {
 struct QueryConn {
     stream: TcpStream,
     inbuf: Vec<u8>,
+    /// Bytes of `inbuf` already searched for a newline.
+    scanned: usize,
+    /// Set once a line overran [`protocol::MAX_QUERY_LINE`]: input is
+    /// discarded, and the write half is shut once the error is flushed.
+    closing: bool,
     out: Vec<u8>,
     out_pos: usize,
 }
 
 impl QueryConn {
+    /// Queue one reply line per complete request line in `inbuf`. Every
+    /// byte is searched for `\n` once, so a slowly arriving line costs
+    /// linear time; a line longer than [`protocol::MAX_QUERY_LINE`]
+    /// (complete or not) gets one error reply and closes the connection,
+    /// so the buffer stays bounded.
+    fn answer_lines(&mut self, mut answer: impl FnMut(&str) -> String) {
+        let mut start = 0;
+        while let Some(at) = self.inbuf[self.scanned..].iter().position(|&b| b == b'\n') {
+            let nl = self.scanned + at;
+            if nl - start > protocol::MAX_QUERY_LINE {
+                break;
+            }
+            let line = String::from_utf8_lossy(&self.inbuf[start..nl]);
+            self.out.extend_from_slice(answer(line.trim()).as_bytes());
+            self.out.push(b'\n');
+            start = nl + 1;
+            self.scanned = start;
+        }
+        self.inbuf.drain(..start);
+        self.scanned = self.inbuf.len();
+        if self.inbuf.len() > protocol::MAX_QUERY_LINE {
+            let message = format!("query line exceeds {} bytes", protocol::MAX_QUERY_LINE);
+            self.out.extend_from_slice(error_reply(&message).as_bytes());
+            self.out.push(b'\n');
+            (self.inbuf, self.scanned, self.closing) = (Vec::new(), 0, true);
+        }
+    }
+
     fn flush(&mut self) -> std::io::Result<bool> {
         while self.out_pos < self.out.len() {
             match self.stream.write(&self.out[self.out_pos..]) {
@@ -747,6 +780,8 @@ fn query_loop(
                             let conn = QueryConn {
                                 stream,
                                 inbuf: Vec::new(),
+                                scanned: 0,
+                                closing: false,
                                 out: Vec::new(),
                                 out_pos: 0,
                             };
@@ -772,8 +807,16 @@ fn query_loop(
                             drop_conn = true;
                             break;
                         }
+                        // A closing connection's input is read and dropped:
+                        // closing a socket with unread bytes would reset it
+                        // and could discard the queued error reply.
                         Ok(n) => {
-                            conn.inbuf.extend_from_slice(&scratch[..n]);
+                            if !conn.closing {
+                                conn.inbuf.extend_from_slice(&scratch[..n]);
+                                conn.answer_lines(|line| {
+                                    answer_query(line, &mut replica, &handle, &stats, &shutdown)
+                                });
+                            }
                             if n < scratch.len() {
                                 break;
                             }
@@ -786,18 +829,13 @@ fn query_loop(
                         }
                     }
                 }
-                // Answer every complete line buffered so far.
-                while let Some(nl) = conn.inbuf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = conn.inbuf.drain(..=nl).collect();
-                    let line = String::from_utf8_lossy(&line[..nl]);
-                    let response =
-                        answer_query(line.trim(), &mut replica, &handle, &stats, &shutdown);
-                    conn.out.extend_from_slice(response.as_bytes());
-                    conn.out.push(b'\n');
-                }
             }
             if !drop_conn && !conn.out.is_empty() {
                 match conn.flush() {
+                    // The error reply is out: the peer reads EOF next.
+                    Ok(true) if conn.closing => {
+                        let _ = conn.stream.shutdown(std::net::Shutdown::Write);
+                    }
                     Ok(_) => {}
                     Err(_) => drop_conn = true,
                 }

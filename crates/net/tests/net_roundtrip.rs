@@ -564,6 +564,50 @@ fn strict_json_checker_rejects_rust_debug_escapes() {
     }
 }
 
+/// A query client that never sends a newline cannot grow the server's
+/// line buffer: past `MAX_QUERY_LINE` it gets exactly one valid-JSON
+/// error line and then EOF, while another client keeps being answered.
+/// Every read has a timeout, so a server that never answers fails the
+/// test instead of hanging it.
+#[test]
+fn overlong_query_line_gets_one_error_then_eof_and_spares_others() {
+    let srv = server(22, 1, Partition::RoundRobin);
+    let timeout = Some(std::time::Duration::from_secs(10));
+    let calm = TcpStream::connect(srv.query_addr()).unwrap();
+    calm.set_read_timeout(timeout).unwrap();
+    let mut calm_writer = calm.try_clone().unwrap();
+    let mut calm_reader = std::io::BufReader::new(calm);
+    let mut stats = || {
+        calm_writer.write_all(b"{\"cmd\":\"stats\"}\n").unwrap();
+        let mut reply = String::new();
+        std::io::BufRead::read_line(&mut calm_reader, &mut reply).expect("calm reply");
+        assert!(reply.starts_with(r#"{"ok":true,"cmd":"stats""#), "{reply}");
+    };
+    stats();
+
+    let hostile = TcpStream::connect(srv.query_addr()).unwrap();
+    hostile.set_read_timeout(timeout).unwrap();
+    hostile.set_write_timeout(timeout).unwrap();
+    let mut flood_writer = hostile.try_clone().unwrap();
+    // 1 MiB without a newline, from its own thread so the read below runs
+    // while bytes still arrive; a write error after the close is expected.
+    let flood = std::thread::spawn(move || {
+        let _ = flood_writer.write_all(&vec![b'x'; 1 << 20]);
+    });
+    let mut reply = String::new();
+    (&hostile)
+        .read_to_string(&mut reply)
+        .expect("one UTF-8 error line, then EOF");
+    flood.join().unwrap();
+    assert_eq!(reply.matches('\n').count(), 1, "{reply:?}");
+    let line = reply.trim_end_matches('\n');
+    assert!(line.starts_with(r#"{"ok":false"#), "{line}");
+    assert!(is_strict_json(line), "{line}");
+
+    stats();
+    srv.shutdown_and_wait().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

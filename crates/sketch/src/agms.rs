@@ -4,9 +4,10 @@
 //! family `ξ`; `S²` estimates the self-join size (Proposition 8) and `S·T`
 //! the size of join with a sketch `T` of the other relation built with the
 //! *same* family (Proposition 7). An [`AgmsSketch`] maintains `n` such
-//! counters with independent families; [`AgmsSketch::self_join`] averages
-//! the basics (variance ∝ 1/n), and the median-of-means variants trade some
-//! averaging for boosted confidence.
+//! counters with independent families;
+//! [`AgmsSketch::self_join_estimate`] averages the basics (variance ∝
+//! 1/n), and the median-of-means variants trade some averaging for boosted
+//! confidence.
 //!
 //! Updating touches **every** counter — O(n) per tuple — which is the
 //! bottleneck that motivates both F-AGMS and the paper's sampling-based
@@ -230,11 +231,6 @@ impl<F: SignFamily> AgmsSketch<F> {
             .collect()
     }
 
-    /// Averaged self-join size estimate `F₂ ≈ (1/n)·ΣSₖ²`.
-    pub fn self_join(&self) -> f64 {
-        estimate::mean(&self.self_join_basics())
-    }
-
     /// Median-of-means self-join estimate over `groups` groups.
     pub fn self_join_median_of_means(&self, groups: usize) -> f64 {
         estimate::median_of_means(&self.self_join_basics(), groups)
@@ -255,11 +251,6 @@ impl<F: SignFamily> AgmsSketch<F> {
             .collect())
     }
 
-    /// Averaged size-of-join estimate `|F ⋈ G| ≈ (1/n)·ΣSₖTₖ`.
-    pub fn size_of_join(&self, other: &Self) -> Result<f64> {
-        Ok(estimate::mean(&self.size_of_join_basics(other)?))
-    }
-
     /// Median-of-means size-of-join estimate over `groups` groups.
     pub fn size_of_join_median_of_means(&self, other: &Self, groups: usize) -> Result<f64> {
         Ok(estimate::median_of_means(
@@ -268,9 +259,10 @@ impl<F: SignFamily> AgmsSketch<F> {
         ))
     }
 
-    /// Typed self-join estimate: the value is bit-identical to
-    /// [`AgmsSketch::self_join`], the variance is the empirical sample
-    /// variance across the `n` independent basics divided by `n`.
+    /// Averaged self-join size estimate `F₂ ≈ (1/n)·ΣSₖ²`: the value is
+    /// the mean of [`self_join_basics`](Self::self_join_basics), the
+    /// variance is the empirical sample variance across the `n`
+    /// independent basics divided by `n`.
     ///
     /// With a single counter the empirical spread is undefined and the
     /// Prop.-8 analytic bound `Var ≤ 2·F₂²/n` is plugged in (dropping the
@@ -282,8 +274,9 @@ impl<F: SignFamily> AgmsSketch<F> {
         e.or_variance(plugin)
     }
 
-    /// Typed size-of-join estimate: value bit-identical to
-    /// [`AgmsSketch::size_of_join`], empirical variance across the basics.
+    /// Averaged size-of-join estimate `|F ⋈ G| ≈ (1/n)·ΣSₖTₖ`: the mean of
+    /// [`size_of_join_basics`](Self::size_of_join_basics), with the
+    /// empirical variance across the basics.
     /// The single-counter fallback is the Prop.-7 bound
     /// `Var ≤ (F₂(f)·F₂(g) + (Σfg)²)/n` with the self-joins plugged in.
     ///
@@ -293,8 +286,12 @@ impl<F: SignFamily> AgmsSketch<F> {
     pub fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
         let n = self.counters.len() as f64;
         let e = Estimate::from_mean(self.size_of_join_basics(other)?);
-        let plugin = (self.self_join() * other.self_join() + e.value * e.value) / n;
-        Ok(e.or_variance(plugin))
+        if e.variance.is_finite() {
+            return Ok(e); // the lanes' own spread: no F₂ plug-in needed
+        }
+        let f2 = |s: &Self| estimate::mean(&s.self_join_basics());
+        let plugin = (f2(self) * f2(other) + e.value * e.value) / n;
+        Ok(e.with_variance(plugin))
     }
 }
 
@@ -379,8 +376,11 @@ mod tests {
     fn empty_sketch_estimates_zero() {
         let schema = AgmsSchema::<DefaultSign>::new(16, &mut rng(1));
         let s = schema.sketch();
-        assert_eq!(s.self_join(), 0.0);
-        assert_eq!(s.size_of_join(&schema.sketch()).unwrap(), 0.0);
+        assert_eq!(s.self_join_estimate().value, 0.0);
+        assert_eq!(
+            s.size_of_join_estimate(&schema.sketch()).unwrap().value,
+            0.0
+        );
     }
 
     #[test]
@@ -389,7 +389,7 @@ mod tests {
         let schema = AgmsSchema::<DefaultSign>::new(8, &mut rng(2));
         let mut s = schema.sketch();
         s.update(42, 7);
-        assert_eq!(s.self_join(), 49.0);
+        assert_eq!(s.self_join_estimate().value, 49.0);
         assert_eq!(s.self_join_median_of_means(4), 49.0);
     }
 
@@ -430,7 +430,10 @@ mod tests {
         let b = AgmsSchema::<DefaultSign>::new(8, &mut rng(6));
         let mut sa = a.sketch();
         let sb = b.sketch();
-        assert_eq!(sa.size_of_join(&sb).unwrap_err(), Error::SchemaMismatch);
+        assert_eq!(
+            sa.size_of_join_estimate(&sb).unwrap_err(),
+            Error::SchemaMismatch
+        );
         assert_eq!(sa.merge(&sb).unwrap_err(), Error::SchemaMismatch);
     }
 
@@ -442,7 +445,7 @@ mod tests {
         for key in 0..1000u64 {
             s.update(key, 4);
         }
-        let est = s.self_join();
+        let est = s.self_join_estimate().value;
         let truth = 16_000.0;
         assert!((est - truth).abs() / truth < 0.2, "est = {est}");
     }
@@ -460,7 +463,7 @@ mod tests {
             t.update(key, 3);
         }
         let truth = 250.0 * 2.0 * 3.0;
-        let est = s.size_of_join(&t).unwrap();
+        let est = s.size_of_join_estimate(&t).unwrap().value;
         assert!(
             (est - truth).abs() / truth < 0.5,
             "est = {est}, truth = {truth}"
@@ -501,7 +504,7 @@ mod tests {
             s.update_range(b * 100, (b + 1) * 100, w);
             truth += 100.0 * (w * w) as f64;
         }
-        let est = s.self_join();
+        let est = s.self_join_estimate().value;
         assert!(
             (est - truth).abs() / truth < 0.25,
             "est = {est}, truth = {truth}"
@@ -554,7 +557,7 @@ mod tests {
             for &(k, f) in &freqs {
                 s.update(k, f);
             }
-            let est = s.self_join();
+            let est = s.self_join_estimate().value;
             sum += est;
             sum_sq += est * est;
         }

@@ -237,39 +237,13 @@ impl<B: BucketFamily> CountMinSketch<B> {
             .unwrap_or(0)
     }
 
-    /// Size-of-join estimate: `min_r Σ_b s_b·t_b`. Upper-bounds the true
-    /// value for insert-only streams.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::SchemaMismatch`] if `other` was built from another schema.
-    pub fn size_of_join(&self, other: &Self) -> Result<f64> {
-        self.check_schema(other)?;
-        let est = (0..self.schema.depth())
-            .map(|r| {
-                self.row(r)
-                    .iter()
-                    .zip(other.row(r))
-                    .map(|(&s, &t)| s as f64 * t as f64)
-                    .sum::<f64>()
-            })
-            .fold(f64::INFINITY, f64::min);
-        Ok(est)
-    }
-
-    /// Self-join size estimate: the inner product with itself.
-    pub fn self_join(&self) -> f64 {
-        self.size_of_join(self)
-            .expect("self always shares its own schema")
-    }
-
-    /// Typed size-of-join estimate. Count-Min's minimum is a *biased*
+    /// Size-of-join estimate: `min_r Σ_b s_b·t_b`, which upper-bounds the
+    /// true value for insert-only streams. Count-Min's minimum is a *biased*
     /// (upper-bound) estimator, so no unbiased variance exists; the
     /// reported variance is the sample variance of the per-row inner
     /// products — a dispersion heuristic that indicates how much collision
     /// inflation the rows disagree on, not a calibrated error bar. A
-    /// depth-1 sketch reports infinite variance. The value is bit-identical
-    /// to [`CountMinSketch::size_of_join`].
+    /// depth-1 sketch reports infinite variance.
     ///
     /// # Errors
     ///
@@ -294,8 +268,9 @@ impl<B: BucketFamily> CountMinSketch<B> {
         })
     }
 
-    /// Typed self-join estimate — see [`CountMinSketch::size_of_join_estimate`]
-    /// for the bias and variance caveats.
+    /// Self-join size estimate: the inner product with itself — see
+    /// [`CountMinSketch::size_of_join_estimate`] for the bias and variance
+    /// caveats.
     pub fn self_join_estimate(&self) -> Estimate {
         self.size_of_join_estimate(self)
             .expect("self always shares its own schema")
@@ -411,7 +386,7 @@ mod tests {
             t.update(k, g);
             truth += (f * g) as f64;
         }
-        let est = s.size_of_join(&t).unwrap();
+        let est = s.size_of_join_estimate(&t).unwrap().value;
         assert!(est >= truth, "CM join estimate must not underestimate");
         // The expected additive bias is ≈ ‖f‖₁‖g‖₁/width ≈ 1.5k on a truth
         // of ≈ 6k, so a 2× envelope is comfortable at this width.
@@ -513,6 +488,6 @@ mod tests {
         let a = Schema::new(2, 16, &mut rng(5)).sketch();
         let mut b = Schema::new(2, 16, &mut rng(6)).sketch();
         assert!(b.merge(&a).is_err());
-        assert!(b.size_of_join(&a).is_err());
+        assert!(b.size_of_join_estimate(&a).is_err());
     }
 }

@@ -157,10 +157,11 @@ pub enum Bound {
 /// per-lane basic estimates it was combined from, and an empirical variance
 /// of the combined value.
 ///
-/// `value` is always produced by the exact legacy combining path
-/// ([`mean`]/[`median`]/backend-specific), never re-derived from `basics`
-/// through a different expression — the scalar query methods and the
-/// `*_estimate` methods return bit-identical values.
+/// Every join query answers with an `Estimate`; there is no separate
+/// scalar query, so `value` *is* the estimator's number. It is produced by
+/// the backend's lane combiner ([`mean`]/[`median`]/minimum) or, for
+/// composite estimators, by their own exact accumulation order — never
+/// re-derived from `basics` through a different expression.
 ///
 /// The variance is *empirical*: the spread across a sketch's independent
 /// lanes, plus (for sampled streams) an analytic plug-in for the sampling
@@ -170,22 +171,20 @@ pub enum Bound {
 /// `sss_moments::engine` instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Estimate {
-    /// The point estimate — bit-identical to the corresponding scalar query.
+    /// The point estimate.
     pub value: f64,
     /// Empirical variance of `value`. `f64::INFINITY` when the estimator
     /// carries no spread information (single lane, no analytic fallback).
     pub variance: f64,
     /// The independent per-lane basic estimates `value` was combined from
-    /// (one per AGMS counter or F-AGMS row). Empty for point estimates
-    /// without lane structure (e.g. Count-Min minimum, trait default).
+    /// (one per AGMS counter or F-AGMS/Count-Min row). Empty for point
+    /// estimates without lane structure (e.g. [`Estimate::point`]).
     pub basics: Vec<f64>,
 }
 
 impl Estimate {
-    /// An estimate with no error state: infinite variance, no basics.
-    /// This is what the `JoinEstimator` trait defaults in `sss-core`
-    /// report for external estimator implementations that predate
-    /// [`Estimate`].
+    /// An estimate with no error state: infinite variance, no basics —
+    /// the honest answer of an estimator without an error model.
     pub fn point(value: f64) -> Self {
         Estimate {
             value,
@@ -229,8 +228,8 @@ impl Estimate {
 
     /// Override the point estimate, keeping variance and basics.
     ///
-    /// Used where the legacy scalar path computes the combined value
-    /// through a different (mathematically equal but not bit-identical)
+    /// Used where a composite estimator accumulates its value through a
+    /// different (mathematically equal but not bit-identical)
     /// floating-point expression than combining `basics` would.
     #[must_use]
     pub fn with_value(mut self, value: f64) -> Self {

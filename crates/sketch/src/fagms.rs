@@ -257,11 +257,6 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
             .collect()
     }
 
-    /// Self-join size estimate: median across rows.
-    pub fn self_join(&self) -> f64 {
-        estimate::median(&self.self_join_rows())
-    }
-
     /// Per-row size-of-join estimates `Σ_b s_b·t_b`.
     ///
     /// # Errors
@@ -280,17 +275,12 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
             .collect())
     }
 
-    /// Size-of-join estimate: median across rows.
-    pub fn size_of_join(&self, other: &Self) -> Result<f64> {
-        Ok(estimate::median(&self.size_of_join_rows(other)?))
-    }
-
-    /// Typed self-join estimate: value bit-identical to
-    /// [`FagmsSketch::self_join`]; the variance applies the conservative
-    /// normal-median factor to the rows' sample variance (each row is an
-    /// implicit average over `width` buckets, so rows of a wide sketch are
-    /// near-Gaussian). A depth-1 sketch has no cross-row spread and falls
-    /// back to the analytic per-row bound `2·F₂²/width`.
+    /// Self-join size estimate: the median of
+    /// [`self_join_rows`](Self::self_join_rows). The variance applies the
+    /// conservative normal-median factor to the rows' sample variance (each
+    /// row is an implicit average over `width` buckets, so rows of a wide
+    /// sketch are near-Gaussian). A depth-1 sketch has no cross-row spread
+    /// and falls back to the analytic per-row bound `2·F₂²/width`.
     pub fn self_join_estimate(&self) -> Estimate {
         let width = self.schema.width() as f64;
         let e = Estimate::from_median(self.self_join_rows());
@@ -298,18 +288,34 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
         e.or_variance(plugin)
     }
 
-    /// Typed size-of-join estimate: value bit-identical to
-    /// [`FagmsSketch::size_of_join`]; cross-row empirical variance with the
-    /// depth-1 fallback `(F₂(f)·F₂(g) + (Σfg)²)/width`.
+    /// Size-of-join estimate: the median of
+    /// [`size_of_join_rows`](Self::size_of_join_rows); cross-row empirical
+    /// variance with the depth-1 fallback `(F₂(f)·F₂(g) + (Σfg)²)/width`.
     ///
     /// # Errors
     ///
     /// [`Error::SchemaMismatch`] if `other` was built from another schema.
     pub fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
-        let width = self.schema.width() as f64;
-        let e = Estimate::from_median(self.size_of_join_rows(other)?);
-        let plugin = (self.self_join() * other.self_join() + e.value * e.value) / width;
-        Ok(e.or_variance(plugin))
+        if self.schema.depth() > 1 {
+            return Ok(Estimate::from_median(self.size_of_join_rows(other)?));
+        }
+        self.check_schema(other)?;
+        // One row has no cross-row spread, and the fallback needs both
+        // sides' F₂: gather them in the inner product's own pass. Each sum
+        // starts at -0.0, the identity `Iterator::sum` folds from, so they
+        // equal the `*_rows` sums bit for bit.
+        let (mut st, mut ss, mut tt) = (-0.0, -0.0, -0.0);
+        for (&s, &t) in self.row(0).iter().zip(other.row(0)) {
+            let (s, t) = (s as f64, t as f64);
+            st += s * t;
+            ss += s * s;
+            tt += t * t;
+        }
+        Ok(Estimate {
+            value: st,
+            variance: (ss * tt + st * st) / self.schema.width() as f64,
+            basics: vec![st],
+        })
     }
 
     /// The estimated `k` most frequent keys among `candidates`, sorted by
@@ -470,7 +476,7 @@ mod tests {
         let mut s = schema.sketch();
         s.update(1234, 9);
         // Only one bucket per row is non-zero: (9·ξ)² = 81 in every row.
-        assert_eq!(s.self_join(), 81.0);
+        assert_eq!(s.self_join_estimate().value, 81.0);
         assert_eq!(s.point_query(1234), 9.0);
     }
 
@@ -484,7 +490,7 @@ mod tests {
         for k in 0..100u64 {
             s.update(k, -2);
         }
-        assert_eq!(s.self_join(), 0.0);
+        assert_eq!(s.self_join_estimate().value, 0.0);
     }
 
     #[test]
@@ -510,7 +516,10 @@ mod tests {
         let a = Schema::new(2, 16, &mut rng(4)).sketch();
         let mut b = Schema::new(2, 16, &mut rng(5)).sketch();
         assert_eq!(b.merge(&a).unwrap_err(), Error::SchemaMismatch);
-        assert_eq!(b.size_of_join(&a).unwrap_err(), Error::SchemaMismatch);
+        assert_eq!(
+            b.size_of_join_estimate(&a).unwrap_err(),
+            Error::SchemaMismatch
+        );
     }
 
     #[test]
@@ -528,8 +537,8 @@ mod tests {
             truth_join += (f * g) as f64;
             truth_f2 += (f * f) as f64;
         }
-        let sj = s.self_join();
-        let join = s.size_of_join(&t).unwrap();
+        let sj = s.self_join_estimate().value;
+        let join = s.size_of_join_estimate(&t).unwrap().value;
         assert!(
             (sj - truth_f2).abs() / truth_f2 < 0.1,
             "self-join {sj} vs {truth_f2}"
@@ -559,7 +568,7 @@ mod tests {
                 for k in 0..500u64 {
                     s.update(k, (k % 5 + 1) as i64);
                 }
-                err_acc += ((s.self_join() - truth) / truth).abs();
+                err_acc += ((s.self_join_estimate().value - truth) / truth).abs();
             }
             errors.push(err_acc / reps as f64);
         }

@@ -40,7 +40,7 @@
 //!     s.update(key, 1);       // relation F: each key once
 //!     t.update(key % 100, 1); // relation G: 10 copies of keys 0..100
 //! }
-//! let est = s.size_of_join(&t).unwrap();
+//! let est = s.size_of_join_estimate(&t).unwrap().value;
 //! let truth = 100.0 * 10.0;   // keys 0..100 match, g-frequency 10
 //! assert!((est - truth).abs() / truth < 0.25);
 //! ```

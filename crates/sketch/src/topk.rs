@@ -544,7 +544,7 @@ impl<S: SignFamily, B: BucketFamily> HeavyHitters for CountSketchTopK<S, B> {
     /// median over rows only concentrates further, so this is
     /// conservative.
     fn raw_estimate_variance(&self) -> f64 {
-        self.sketch.self_join().max(0.0) / self.sketch.schema().width() as f64
+        self.sketch.self_join_estimate().value.max(0.0) / self.sketch.schema().width() as f64
     }
 
     fn candidates(&self) -> Vec<u64> {

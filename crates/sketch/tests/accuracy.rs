@@ -26,7 +26,7 @@ fn fagms_for_accuracy_meets_its_promise() {
         let schema: FagmsSchema = FagmsSchema::for_accuracy(eps, delta, &mut rng);
         let mut s = schema.sketch();
         let f2 = load(&mut s);
-        if (s.self_join() - f2).abs() > eps * f2 {
+        if (s.self_join_estimate().value - f2).abs() > eps * f2 {
             misses += 1;
         }
     }

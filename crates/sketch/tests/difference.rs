@@ -18,7 +18,7 @@ fn identical_streams_have_zero_distance() {
     }
     a.subtract(&b).unwrap();
     assert_eq!(
-        a.self_join(),
+        a.self_join_estimate().value,
         0.0,
         "identical streams differ by exactly nothing"
     );
@@ -44,7 +44,7 @@ fn l2_distance_is_estimated_accurately() {
     }
     let truth = 20.0 * 200.0 * 200.0 + 10.0 * 30.0 * 30.0;
     today.subtract(&yesterday).unwrap();
-    let est = today.self_join();
+    let est = today.self_join_estimate().value;
     assert!(
         (est - truth).abs() / truth < 0.1,
         "est = {est}, truth = {truth}"

@@ -54,10 +54,16 @@ fn fagms_roundtrip_preserves_estimates_and_identity() {
     }
     let s2: FagmsSketch = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
     let t2: FagmsSketch = serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
-    assert_eq!(s.self_join(), s2.self_join());
+    assert_eq!(s.self_join_estimate(), s2.self_join_estimate());
     // Identity survives: a restored sketch can be joined with a live one.
-    assert_eq!(s.size_of_join(&t).unwrap(), s2.size_of_join(&t2).unwrap());
-    assert_eq!(s.size_of_join(&t2).unwrap(), s2.size_of_join(&t).unwrap());
+    assert_eq!(
+        s.size_of_join_estimate(&t).unwrap(),
+        s2.size_of_join_estimate(&t2).unwrap()
+    );
+    assert_eq!(
+        s.size_of_join_estimate(&t2).unwrap(),
+        s2.size_of_join_estimate(&t).unwrap()
+    );
 }
 
 #[test]

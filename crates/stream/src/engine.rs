@@ -28,11 +28,11 @@
 //! * Per-stage statistics expose where tuples went — the observability a
 //!   real engine needs to explain an approximate answer.
 //!
-//! Construction goes through [`EngineBuilder`]. Every scalar query has a
-//! typed counterpart ([`StreamEngine::self_join_estimate`],
-//! [`StreamEngine::size_of_join_estimate`]) returning an
-//! [`Estimate`] with the bit-identical value plus
-//! empirical error bars for the *combined* estimator.
+//! Construction goes through [`EngineBuilder`]. The join queries
+//! ([`StreamEngine::self_join_estimate`],
+//! [`StreamEngine::size_of_join_estimate`]) return an [`Estimate`]: the
+//! combined `A·A + O·O + 2·A·O` value plus empirical error bars for the
+//! *combined* estimator.
 
 pub use crate::adaptive::ControllerConfig;
 use crate::adaptive::RateController;
@@ -100,8 +100,8 @@ struct ShedPath {
 ///     .build()
 ///     .unwrap();
 /// engine.push_batch(&(0..1000u64).collect::<Vec<_>>(), 1.0).unwrap();
-/// let est = engine.self_join().unwrap();
-/// assert!(est > 0.0);
+/// let est = engine.self_join_estimate().unwrap();
+/// assert!(est.value > 0.0);
 /// ```
 #[derive(Debug)]
 pub struct EngineBuilder<E: Summary = JoinSketch> {
@@ -327,7 +327,8 @@ impl<E: Summary> StreamEngine<E> {
 
     /// Merge the shard estimators as of now (the runtime keeps running).
     /// Covers only the tuples the runtime accepted; the shedded overflow
-    /// contribution is what [`StreamEngine::self_join`] adds on top.
+    /// contribution is what [`StreamEngine::self_join_estimate`] adds on
+    /// top.
     ///
     /// # Errors
     ///
@@ -384,7 +385,7 @@ impl<E: Summary> StreamEngine<E> {
 
     /// Shut down the workers and return the merged runtime estimator
     /// (the shedded overflow part is dropped — query
-    /// [`StreamEngine::self_join`] first if it matters).
+    /// [`StreamEngine::self_join_estimate`] first if it matters).
     ///
     /// # Errors
     ///
@@ -396,7 +397,7 @@ impl<E: Summary> StreamEngine<E> {
 
 impl StreamEngine<JoinSketch> {
     /// Unbiased self-join (F₂) estimate of the full post-transform
-    /// stream, overflow included.
+    /// stream, overflow included, with empirical error state.
     ///
     /// The stream splits disjointly into the runtime part `A` (sketched at
     /// full rate) and the overflow part `O` (Bernoulli-shedded): `F₂ =
@@ -407,148 +408,85 @@ impl StreamEngine<JoinSketch> {
     /// independently of the sampling and sketch randomness, so the sum is
     /// unbiased for any overload pattern.
     ///
+    /// Each independent sketch lane sums its merged-runtime basic, the
+    /// shedder's Proposition-14-corrected basic, and twice the `q = 1`
+    /// cross-term basic — the lane-wise image of the `A·A + O·O + 2·A·O`
+    /// decomposition — so the lane spread measures the sketch noise of
+    /// the *combined* estimator. The shedder's Bernoulli sampling plug-in
+    /// is added unscaled on top (every lane sees the same sampled tuples,
+    /// so averaging lanes does not average that noise away).
+    ///
     /// # Errors
     ///
     /// [`StreamError::ShardDisconnected`] if a worker died, or an
     /// estimator error from the cross-term computation.
-    pub fn self_join(&self) -> StreamResult<f64> {
-        let merged = self.runtime.merged()?;
-        let mut est = merged.raw_self_join();
-        if let Some(shed) = &self.shed {
-            est += shed.shedder.self_join().map_err(StreamError::Estimator)?;
-            est += 2.0
-                * shed
-                    .shedder
-                    .size_of_join_sketch(&merged, 1.0)
-                    .map_err(StreamError::Estimator)?;
-        }
-        Ok(est)
-    }
-
-    /// Unbiased size-of-join estimate between this engine's stream and
-    /// another engine's, overflow included on both sides.
-    ///
-    /// Expands the product of the two split streams: `(A₁+O₁)·(A₂+O₂)`,
-    /// with each of the four terms estimated by the matching sketch pair.
-    /// Both engines must have been built from the same [`JoinSchema`].
-    ///
-    /// # Errors
-    ///
-    /// Schema mismatch between the engines, or
-    /// [`StreamError::ShardDisconnected`].
-    pub fn size_of_join(&self, other: &StreamEngine<JoinSketch>) -> StreamResult<f64> {
-        let m1 = self.runtime.merged()?;
-        let m2 = other.runtime.merged()?;
-        let join = |r: Result<f64>| r.map_err(StreamError::Estimator);
-        let mut est = join(m1.raw_size_of_join(&m2))?;
-        if let Some(s1) = &self.shed {
-            est += join(s1.shedder.size_of_join_sketch(&m2, 1.0))?;
-        }
-        if let Some(s2) = &other.shed {
-            est += join(s2.shedder.size_of_join_sketch(&m1, 1.0))?;
-        }
-        if let (Some(s1), Some(s2)) = (&self.shed, &other.shed) {
-            est += join(s1.shedder.size_of_join(&s2.shedder))?;
-        }
-        Ok(est)
-    }
-
-    /// Typed counterpart of [`StreamEngine::self_join`]: the same value
-    /// (bit-identical accumulation order) with empirical error state.
-    ///
-    /// Each independent sketch lane sums its merged-runtime basic, the
-    /// shedder's Proposition-14-corrected basic, and twice the `q = 1`
-    /// cross-term basic — the lane-wise image of the scalar `A·A + O·O +
-    /// 2·A·O` decomposition — so the lane spread measures the sketch
-    /// noise of the *combined* estimator. The shedder's Bernoulli sampling
-    /// plug-in is added unscaled on top (every lane sees the same sampled
-    /// tuples, so averaging lanes does not average that noise away).
-    ///
-    /// # Errors
-    ///
-    /// As for [`StreamEngine::self_join`].
     pub fn self_join_estimate(&self) -> StreamResult<Estimate> {
         let merged = self.runtime.merged()?;
+        let raw = merged.raw_self_join_estimate();
         let Some(shed) = &self.shed else {
-            return Ok(merged.raw_self_join_estimate());
+            return Ok(raw);
         };
-        // Value: replicate the scalar accumulation order bit for bit.
-        let mut value = merged.raw_self_join();
-        value += shed.shedder.self_join().map_err(StreamError::Estimator)?;
-        value += 2.0
-            * shed
-                .shedder
-                .size_of_join_sketch(&merged, 1.0)
-                .map_err(StreamError::Estimator)?;
-        let basics = |r: Result<Vec<f64>>| r.map_err(StreamError::Estimator);
-        let mut lanes = merged.self_join_basics();
-        let shed_lanes = basics(shed.shedder.self_join_basics())?;
-        let cross = basics(shed.shedder.size_of_join_sketch_basics(&merged, 1.0))?;
-        for ((lane, s), c) in lanes.iter_mut().zip(shed_lanes).zip(cross) {
+        let (shed, err) = (&shed.shedder, StreamError::Estimator);
+        let o = shed.self_join_estimate().map_err(err)?;
+        let cross = shed
+            .size_of_join_sketch_estimate(&merged, 1.0)
+            .map_err(err)?;
+        let value = raw.value + o.value + 2.0 * cross.value;
+        let mut lanes = raw.basics;
+        for ((lane, s), c) in lanes.iter_mut().zip(o.basics).zip(cross.basics) {
             *lane += s + 2.0 * c;
         }
         let single = 2.0 * value * value / merged.averaging_factor() as f64;
         Ok(merged
             .combine_lanes(value, lanes, single)
-            .plus_variance(shed.shedder.sampling_variance()))
+            .plus_variance(shed.sampling_variance()))
     }
 
-    /// Typed counterpart of [`StreamEngine::size_of_join`]: the same value
-    /// (bit-identical four-term accumulation) with empirical error state.
+    /// Unbiased size-of-join estimate between this engine's stream and
+    /// another engine's, overflow included on both sides, with empirical
+    /// error state.
     ///
-    /// Lanes sum the four per-lane terms of `(A₁+O₁)·(A₂+O₂)`; the
-    /// Bernoulli sampling plug-in is evaluated at each side's smallest
-    /// epoch rate (`1` for a side without shedding) with the combined
-    /// self-join estimates standing in for the unknown F₂'s.
+    /// Expands the product of the two split streams: `(A₁+O₁)·(A₂+O₂)`,
+    /// with each of the four terms estimated by the matching sketch pair;
+    /// lanes sum the four per-lane terms. The Bernoulli sampling plug-in
+    /// is evaluated at each side's smallest epoch rate (`1` for a side
+    /// without shedding) with the combined self-join estimates standing in
+    /// for the unknown F₂'s. Both engines must have been built from the
+    /// same [`JoinSchema`].
     ///
     /// # Errors
     ///
-    /// As for [`StreamEngine::size_of_join`].
+    /// Schema mismatch between the engines, or
+    /// [`StreamError::ShardDisconnected`].
     pub fn size_of_join_estimate(
         &self,
         other: &StreamEngine<JoinSketch>,
     ) -> StreamResult<Estimate> {
         let m1 = self.runtime.merged()?;
         let m2 = other.runtime.merged()?;
-        let join = |r: Result<f64>| r.map_err(StreamError::Estimator);
-        // Value: replicate the scalar accumulation order bit for bit.
-        let mut value = join(m1.raw_size_of_join(&m2))?;
-        if let Some(s1) = &self.shed {
-            value += join(s1.shedder.size_of_join_sketch(&m2, 1.0))?;
-        }
-        if let Some(s2) = &other.shed {
-            value += join(s2.shedder.size_of_join_sketch(&m1, 1.0))?;
-        }
-        if let (Some(s1), Some(s2)) = (&self.shed, &other.shed) {
-            value += join(s1.shedder.size_of_join(&s2.shedder))?;
-        }
-        let basics = |r: Result<Vec<f64>>| r.map_err(StreamError::Estimator);
-        let add = |lanes: &mut Vec<f64>, extra: Vec<f64>| {
-            for (lane, x) in lanes.iter_mut().zip(extra) {
+        let err = StreamError::Estimator;
+        let raw = m1.raw_size_of_join_estimate(&m2).map_err(err)?;
+        let (mut value, mut lanes) = (raw.value, raw.basics);
+        // One more term of the expansion: its value and its lanes.
+        let mut add = |term: Result<Estimate>| {
+            let term = term.map_err(err)?;
+            value += term.value;
+            for (lane, x) in lanes.iter_mut().zip(term.basics) {
                 *lane += x;
             }
+            StreamResult::Ok(())
         };
-        let mut lanes = basics(m1.size_of_join_basics(&m2))?;
         if let Some(s1) = &self.shed {
-            add(
-                &mut lanes,
-                basics(s1.shedder.size_of_join_sketch_basics(&m2, 1.0))?,
-            );
+            add(s1.shedder.size_of_join_sketch_estimate(&m2, 1.0))?;
         }
         if let Some(s2) = &other.shed {
-            add(
-                &mut lanes,
-                basics(s2.shedder.size_of_join_sketch_basics(&m1, 1.0))?,
-            );
+            add(s2.shedder.size_of_join_sketch_estimate(&m1, 1.0))?;
         }
         if let (Some(s1), Some(s2)) = (&self.shed, &other.shed) {
-            add(
-                &mut lanes,
-                basics(s1.shedder.size_of_join_basics(&s2.shedder))?,
-            );
+            add(s1.shedder.size_of_join_estimate(&s2.shedder))?;
         }
-        let f2_1 = self.self_join()?.max(0.0);
-        let f2_2 = other.self_join()?.max(0.0);
+        let f2_1 = self.self_join_estimate()?.value.max(0.0);
+        let f2_2 = other.self_join_estimate()?.value.max(0.0);
         let p1 = self
             .shed
             .as_ref()
@@ -586,7 +524,7 @@ mod tests {
             pub fn add(&mut self, k: u64) {
                 *self.0.entry(k).or_insert(0) += 1;
             }
-            pub fn self_join(&self) -> f64 {
+            pub fn f2(&self) -> f64 {
                 self.0.values().map(|&c| (c * c) as f64).sum()
             }
         }
@@ -655,8 +593,8 @@ mod tests {
                 }
             }
         }
-        let est = e.self_join().unwrap();
-        let truth = exact.self_join();
+        let est = e.self_join_estimate().unwrap().value;
+        let truth = exact.f2();
         assert!(
             (est - truth).abs() / truth < 0.1,
             "est = {est}, truth = {truth}"
@@ -690,8 +628,8 @@ mod tests {
             }
             let merged = e.into_merged().unwrap();
             assert_eq!(
-                merged.raw_self_join().to_bits(),
-                seq.raw_self_join().to_bits(),
+                merged.raw_self_join_estimate().value.to_bits(),
+                seq.raw_self_join_estimate().value.to_bits(),
                 "shards = {shards}"
             );
         }
@@ -713,7 +651,10 @@ mod tests {
         let merged = e.into_merged().unwrap();
         let mut seq = schema.sketch();
         sss_sketch::Sketch::update_batch(&mut seq, &keys);
-        assert_eq!(merged.self_join().to_bits(), seq.self_join().to_bits());
+        assert_eq!(
+            merged.self_join_estimate().value.to_bits(),
+            seq.self_join_estimate().value.to_bits()
+        );
     }
 
     #[test]
@@ -772,8 +713,8 @@ mod tests {
             "every tuple is either accepted or routed to the shedder"
         );
         assert!(e.queue_high_water() <= 2, "queue memory bounded");
-        let est = e.self_join().unwrap();
-        let truth = exact.self_join();
+        let est = e.self_join_estimate().unwrap().value;
+        let truth = exact.f2();
         assert!(
             (est - truth).abs() / truth < 0.15,
             "est = {est}, truth = {truth} (overflowed {})",
@@ -792,7 +733,7 @@ mod tests {
             .unwrap();
         e.push_batch(&[], 1.0).unwrap();
         assert_eq!(e.stats().last().unwrap().tuples_in, 0);
-        assert_eq!(e.self_join().unwrap(), 0.0);
+        assert_eq!(e.self_join_estimate().unwrap().value, 0.0);
     }
 
     /// Two engines over the same schema estimate their join size,
@@ -826,7 +767,7 @@ mod tests {
         }
         // Overlap 500..1000: 500 keys × 20 × 10.
         let truth = 500.0 * 20.0 * 10.0;
-        let est = e1.size_of_join(&e2).unwrap();
+        let est = e1.size_of_join_estimate(&e2).unwrap().value;
         assert!(
             (est - truth).abs() / truth < 0.2,
             "est = {est}, truth = {truth}"
@@ -834,7 +775,7 @@ mod tests {
         // Schema mismatch errors cleanly.
         let other = JoinSchema::agms(8, &mut rng);
         let e3 = EngineBuilder::new().schema(&other).build().unwrap();
-        assert!(e1.size_of_join(&e3).is_err());
+        assert!(e1.size_of_join_estimate(&e3).is_err());
     }
 
     /// Regression (formerly on the deprecated `Pipeline`): a batch with a
@@ -916,7 +857,7 @@ mod tests {
         }
         e.push_batch(&vec![7u64; 5000], 1.0).unwrap();
         let m = e.into_merged().unwrap();
-        let f2 = m.self_join();
+        let f2 = m.self_join_estimate().value;
         let truth = 1999.0 * 50.0 * 50.0 + 5050.0 * 5050.0;
         assert!((f2 - truth).abs() / truth < 0.15, "f2 = {f2}");
         let d = m.distinct();
@@ -934,8 +875,8 @@ mod tests {
         );
     }
 
-    /// The typed estimates carry the scalar values bit for bit — with and
-    /// without a shedding leg, self-join and cross-engine join — and
+    /// The estimates carry their decomposition's value bit for bit — with
+    /// and without a shedding leg, self-join and cross-engine join — and
     /// their error state is coherent.
     #[test]
     fn typed_estimates_match_scalar_queries_bit_for_bit() {
@@ -955,28 +896,42 @@ mod tests {
             .schema(&schema)
             .build()
             .unwrap();
+        // e2's sequential twin: what its shards merge to, bit for bit.
+        let mut a2 = schema.sketch();
         for _ in 0..50 {
             let batch: Vec<u64> = (0..5000u64).map(|i| i % 700).collect();
             e1.push_batch(&batch, 1e-2).unwrap();
-            e2.push_batch(&(0..1000u64).collect::<Vec<_>>(), 1.0)
-                .unwrap();
+            let calm: Vec<u64> = (0..1000u64).collect();
+            e2.push_batch(&calm, 1.0).unwrap();
+            a2.update_batch(&calm);
         }
+        // The values are the `A·A + O·O + 2·A·O` decomposition built from
+        // the merged runtime sketch and the shedder's scalar queries.
+        let a1 = e1.merged().unwrap();
+        let o1 = e1.shedder().unwrap();
         let sj = e1.self_join_estimate().unwrap();
-        assert_eq!(sj.value.to_bits(), e1.self_join().unwrap().to_bits());
+        let parts = a1.raw_self_join_estimate().value
+            + o1.self_join().unwrap()
+            + 2.0 * o1.size_of_join_sketch(&a1, 1.0).unwrap();
+        assert_eq!(sj.value.to_bits(), parts.to_bits());
         assert_eq!(sj.basics.len(), 3, "one lane per F-AGMS row");
         assert!(sj.variance.is_finite() && sj.variance > 0.0);
         assert!(sj.chebyshev(0.95).unwrap().half_width() > sj.clt(0.95).unwrap().half_width());
         let join = e1.size_of_join_estimate(&e2).unwrap();
-        assert_eq!(
-            join.value.to_bits(),
-            e1.size_of_join(&e2).unwrap().to_bits()
-        );
+        let parts = a1.raw_size_of_join_estimate(&a2).unwrap().value
+            + o1.size_of_join_sketch(&a2, 1.0).unwrap();
+        assert_eq!(join.value.to_bits(), parts.to_bits());
         assert!(join.variance.is_finite() && join.variance > 0.0);
         let rev = e2.size_of_join_estimate(&e1).unwrap();
-        assert_eq!(rev.value.to_bits(), e2.size_of_join(&e1).unwrap().to_bits());
+        let parts = a2.raw_size_of_join_estimate(&a1).unwrap().value
+            + o1.size_of_join_sketch(&a2, 1.0).unwrap();
+        assert_eq!(rev.value.to_bits(), parts.to_bits());
         // Without a shedding leg the estimate is the raw sketch estimate.
         let calm = e2.self_join_estimate().unwrap();
-        assert_eq!(calm.value.to_bits(), e2.self_join().unwrap().to_bits());
+        assert_eq!(
+            calm.value.to_bits(),
+            a2.raw_self_join_estimate().value.to_bits()
+        );
         assert!(calm.variance.is_finite());
     }
 }

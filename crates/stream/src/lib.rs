@@ -14,8 +14,8 @@
 //!   dirtied since the previous query;
 //! * [`engine`] — the DSMS engine over that runtime: transform chain,
 //!   backpressure, and an adaptive overflow shedder, built by
-//!   [`EngineBuilder`]; every query also has a typed `*_estimate()` form
-//!   returning an [`Estimate`](sss_core::Estimate) with error bars;
+//!   [`EngineBuilder`]; its join queries answer with an
+//!   [`Estimate`](sss_core::Estimate): the value plus error bars;
 //! * [`shedder`] — a load-shedding pipeline pairing a full-stream sketch
 //!   with a Bernoulli-shedded sketch and reporting the update-throughput
 //!   **speed-up** (the paper's headline "factor of at least 10");

@@ -35,7 +35,7 @@ use sss_core::{JoinQuery, Result, Sampled, Summary};
 /// // Bit-identical to the sequential sketch of the same stream.
 /// let mut seq = schema.sketch();
 /// for &k in &stream { seq.update(k, 1); }
-/// assert_eq!(merged.raw_self_join(), seq.raw_self_join());
+/// assert_eq!(merged.raw_self_join_estimate(), seq.raw_self_join_estimate());
 /// ```
 pub fn parallel_sketch(
     schema: &JoinSchema,
@@ -138,8 +138,8 @@ mod tests {
         for threads in [1usize, 2, 4, 7] {
             let parallel = parallel_sketch(&schema, &s, threads).unwrap();
             assert_eq!(
-                parallel.raw_self_join(),
-                sequential.raw_self_join(),
+                parallel.raw_self_join_estimate(),
+                sequential.raw_self_join_estimate(),
                 "threads = {threads}"
             );
         }
@@ -155,7 +155,10 @@ mod tests {
         let mut seq = schema.sketch();
         sss_sketch::Sketch::update_batch(&mut seq, &s);
         let par = parallel_sketch_with(&schema.sketch(), &s, 4).unwrap();
-        assert_eq!(par.self_join().to_bits(), seq.self_join().to_bits());
+        assert_eq!(
+            par.self_join_estimate().value.to_bits(),
+            seq.self_join_estimate().value.to_bits()
+        );
     }
 
     #[test]
@@ -163,9 +166,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let schema = JoinSchema::agms(4, &mut rng);
         let empty = parallel_sketch(&schema, &[], 8).unwrap();
-        assert_eq!(empty.raw_self_join(), 0.0);
+        assert_eq!(empty.raw_self_join_estimate().value, 0.0);
         let single = parallel_sketch(&schema, &[42], 8).unwrap();
-        assert_eq!(single.raw_self_join(), 1.0);
+        assert_eq!(single.raw_self_join_estimate().value, 1.0);
     }
 
     /// Empty streams return the zero sketch without spawning workers, for
@@ -176,13 +179,17 @@ mod tests {
         let schema = JoinSchema::fagms(2, 64, &mut rng);
         for threads in [0usize, 1, 8] {
             let sk = parallel_sketch(&schema, &[], threads).unwrap();
-            assert_eq!(sk.raw_self_join(), 0.0, "threads = {threads}");
+            assert_eq!(
+                sk.raw_self_join_estimate().value,
+                0.0,
+                "threads = {threads}"
+            );
         }
         // Shedding over an empty stream: zero kept, estimate zero, and the
         // probability is still validated.
         let r = parallel_shed(&schema, &[], 0.5, 4, &mut rng).unwrap();
         assert_eq!(r.kept(), 0);
-        assert_eq!(r.self_join(), 0.0);
+        assert_eq!(r.self_join_estimate().value, 0.0);
         assert!(parallel_shed(&schema, &[], 0.0, 4, &mut rng).is_err());
     }
 
@@ -200,8 +207,8 @@ mod tests {
         for threads in [6usize, 64] {
             let parallel = parallel_sketch(&schema, &short, threads).unwrap();
             assert_eq!(
-                parallel.raw_self_join(),
-                sequential.raw_self_join(),
+                parallel.raw_self_join_estimate(),
+                sequential.raw_self_join_estimate(),
                 "threads = {threads}"
             );
         }
@@ -219,7 +226,7 @@ mod tests {
         let frac = r.kept() as f64 / s.len() as f64;
         assert!((frac - 0.2).abs() < 0.01, "kept fraction {frac}");
         let truth = 5000.0 * 40.0 * 40.0;
-        let est = r.self_join();
+        let est = r.self_join_estimate().value;
         assert!(
             (est - truth).abs() / truth < 0.1,
             "est = {est}, truth = {truth}"
@@ -251,7 +258,6 @@ mod tests {
             let seq = seq.unwrap();
             assert_eq!(par.kept(), seq.kept(), "threads = {threads}");
             assert_eq!(par.seen(), s.len() as u64);
-            assert_eq!(par.self_join().to_bits(), seq.self_join().to_bits());
             let (a, b) = (par.self_join_estimate(), seq.self_join_estimate());
             assert_eq!(a.value.to_bits(), b.value.to_bits());
             assert_eq!(a.variance.to_bits(), b.variance.to_bits());

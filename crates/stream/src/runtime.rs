@@ -422,7 +422,7 @@ pub struct PoolStats {
 /// // Bit-identical to the sequential sketch of the same stream.
 /// let mut seq = schema.sketch();
 /// for k in 0..10_000u64 { seq.update(k, 1); }
-/// assert_eq!(merged.raw_self_join(), seq.raw_self_join());
+/// assert_eq!(merged.raw_self_join_estimate(), seq.raw_self_join_estimate());
 /// ```
 pub struct ShardedRuntime<E: Summary> {
     shared: Arc<RuntimeShared<E>>,
@@ -1350,6 +1350,11 @@ mod tests {
         sk
     }
 
+    /// The self-join value's bits: the bit-identity every sharded path pins.
+    fn f2_bits(s: &JoinSketch) -> u64 {
+        s.raw_self_join_estimate().value.to_bits()
+    }
+
     #[test]
     fn merged_is_bit_identical_for_both_partitions() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -1369,8 +1374,8 @@ mod tests {
                 }
                 let merged = rt.into_merged().unwrap();
                 assert_eq!(
-                    merged.raw_self_join().to_bits(),
-                    seq.raw_self_join().to_bits(),
+                    f2_bits(&merged),
+                    f2_bits(&seq),
                     "partition {partition:?}, shards {shards}"
                 );
             }
@@ -1394,8 +1399,8 @@ mod tests {
         }
         let mid = rt.merged().unwrap();
         assert_eq!(
-            mid.raw_self_join().to_bits(),
-            sequential(&schema, &s[..half]).raw_self_join().to_bits(),
+            f2_bits(&mid),
+            f2_bits(&sequential(&schema, &s[..half])),
             "mid-stream snapshot"
         );
         // The runtime keeps absorbing tuples after the query.
@@ -1404,8 +1409,8 @@ mod tests {
         }
         let end = rt.into_merged().unwrap();
         assert_eq!(
-            end.raw_self_join().to_bits(),
-            sequential(&schema, &s).raw_self_join().to_bits(),
+            f2_bits(&end),
+            f2_bits(&sequential(&schema, &s)),
             "end-of-stream merge"
         );
     }
@@ -1442,10 +1447,7 @@ mod tests {
         for _ in 0..copies {
             expect.update_batch(&batch);
         }
-        assert_eq!(
-            merged.raw_self_join().to_bits(),
-            expect.raw_self_join().to_bits()
-        );
+        assert_eq!(f2_bits(&merged), f2_bits(&expect));
     }
 
     #[test]
@@ -1464,10 +1466,7 @@ mod tests {
         }
         assert!(rt.queue_high_water() <= 2);
         let merged = rt.into_merged().unwrap();
-        assert_eq!(
-            merged.raw_self_join().to_bits(),
-            sequential(&schema, &s).raw_self_join().to_bits()
-        );
+        assert_eq!(f2_bits(&merged), f2_bits(&sequential(&schema, &s)));
     }
 
     #[test]
@@ -1505,7 +1504,10 @@ mod tests {
         let mut overflow = Vec::new();
         assert_eq!(rt.try_push(&[], &mut overflow).unwrap(), 0);
         assert!(overflow.is_empty());
-        assert_eq!(rt.into_merged().unwrap().raw_self_join(), 0.0);
+        assert_eq!(
+            rt.into_merged().unwrap().raw_self_join_estimate().value,
+            0.0
+        );
     }
 
     /// The typed runtime queries answer on the combined sketch: values
@@ -1590,7 +1592,10 @@ mod tests {
         let merged = rt.into_merged().unwrap();
         let mut seq = schema.sketch();
         sss_sketch::Sketch::update_batch(&mut seq, &s);
-        assert_eq!(merged.self_join().to_bits(), seq.self_join().to_bits());
+        assert_eq!(
+            merged.self_join_estimate().value.to_bits(),
+            seq.self_join_estimate().value.to_bits()
+        );
     }
 
     /// Per-shard prototypes: a `Sampled` front end must NOT share its
@@ -1623,7 +1628,7 @@ mod tests {
         }
         let merged = rt.into_merged().unwrap();
         assert!(merged.kept() < 30_000, "only ~10% sketched");
-        let est = merged.self_join();
+        let est = merged.self_join_estimate().value;
         assert!((est - 2e7).abs() / 2e7 < 0.15, "est = {est}");
         // A prototype-count mismatch is a typed config error.
         let config = RuntimeConfig {
@@ -1662,11 +1667,11 @@ mod tests {
     }
 
     impl JoinQuery for SlowSketch {
-        fn self_join(&self) -> f64 {
-            self.inner.raw_self_join()
+        fn self_join_estimate(&self) -> Estimate {
+            self.inner.raw_self_join_estimate()
         }
-        fn size_of_join(&self, other: &Self) -> sss_core::Result<f64> {
-            self.inner.raw_size_of_join(&other.inner)
+        fn size_of_join_estimate(&self, other: &Self) -> sss_core::Result<Estimate> {
+            self.inner.raw_size_of_join_estimate(&other.inner)
         }
     }
 
@@ -1707,8 +1712,8 @@ mod tests {
             expect.update_batch(&batch);
         }
         assert_eq!(
-            merged.self_join().to_bits(),
-            expect.raw_self_join().to_bits()
+            merged.self_join_estimate().value.to_bits(),
+            f2_bits(&expect)
         );
         // SlowSketch opts out of retraction, so the cache fell back to
         // full rebuilds — still exact, never cached-stale.
@@ -1731,15 +1736,9 @@ mod tests {
         )
         .unwrap();
         let empty = rt.merged().unwrap();
-        assert_eq!(
-            empty.raw_self_join().to_bits(),
-            schema.sketch().raw_self_join().to_bits()
-        );
+        assert_eq!(f2_bits(&empty), f2_bits(&schema.sketch()));
         let again = rt.merged().unwrap();
-        assert_eq!(
-            again.raw_self_join().to_bits(),
-            empty.raw_self_join().to_bits()
-        );
+        assert_eq!(f2_bits(&again), f2_bits(&empty));
         let stats = rt.cache_stats();
         assert_eq!(stats.full_rebuilds, 1, "first query built the cache");
         assert_eq!(stats.hits, 1, "second query was served from it");
@@ -1767,28 +1766,20 @@ mod tests {
         let first = rt.merged().unwrap();
         for _ in 0..10 {
             let again = rt.merged().unwrap();
-            assert_eq!(
-                again.raw_self_join().to_bits(),
-                first.raw_self_join().to_bits()
-            );
+            assert_eq!(f2_bits(&again), f2_bits(&first));
         }
         let stats = rt.cache_stats();
         assert_eq!(stats.hits, 10, "all repeats served from cache");
         // The cache-bypassing full barrier agrees with the cached answer.
         let barrier = rt.merged_uncached().unwrap();
-        assert_eq!(
-            barrier.raw_self_join().to_bits(),
-            first.raw_self_join().to_bits()
-        );
+        assert_eq!(f2_bits(&barrier), f2_bits(&first));
         // One more round-robin batch dirties exactly one shard; the
         // delta rebuild still matches the sequential sketch bit for bit.
         rt.push(&s[half..half + 512]).unwrap();
         let after = rt.merged().unwrap();
         assert_eq!(
-            after.raw_self_join().to_bits(),
-            sequential(&schema, &s[..half + 512])
-                .raw_self_join()
-                .to_bits()
+            f2_bits(&after),
+            f2_bits(&sequential(&schema, &s[..half + 512]))
         );
         let stats = rt.cache_stats();
         assert_eq!(stats.partial_rebuilds, 1);
@@ -1821,20 +1812,14 @@ mod tests {
         }
         // Live query through the handle, concurrent with the runtime.
         let mid = handle.merged().unwrap();
-        assert_eq!(
-            mid.raw_self_join().to_bits(),
-            sequential(&schema, &s).raw_self_join().to_bits()
-        );
+        assert_eq!(f2_bits(&mid), f2_bits(&sequential(&schema, &s)));
         assert_eq!(handle.tuples_ingested(), s.len() as u64);
         // No ingest since the last query: the final merge and a
         // post-shutdown handle query agree with it bit for bit.
         let fin = rt.into_merged().unwrap();
-        assert_eq!(fin.raw_self_join().to_bits(), mid.raw_self_join().to_bits());
+        assert_eq!(f2_bits(&fin), f2_bits(&mid));
         let after = sibling.merged().unwrap();
-        assert_eq!(
-            after.raw_self_join().to_bits(),
-            fin.raw_self_join().to_bits()
-        );
+        assert_eq!(f2_bits(&after), f2_bits(&fin));
         assert!(sibling.cache_stats().hits >= 1);
 
         // A handle whose cache is stale at shutdown reports the dead
@@ -1988,17 +1973,11 @@ mod tests {
         // Recovery: no poison panic, and the rebuilt answer matches the
         // pre-panic snapshot bit for bit (no ingest in between).
         let after = rt.merged().unwrap();
-        assert_eq!(
-            after.inner.raw_self_join().to_bits(),
-            first.inner.raw_self_join().to_bits()
-        );
+        assert_eq!(f2_bits(&after.inner), f2_bits(&first.inner));
         // The read-only stats path survives too.
         let _ = rt.cache_stats();
         let fin = rt.into_merged().unwrap();
-        assert_eq!(
-            fin.inner.raw_self_join().to_bits(),
-            first.inner.raw_self_join().to_bits()
-        );
+        assert_eq!(f2_bits(&fin.inner), f2_bits(&first.inner));
     }
 
     /// The zero-allocations-per-batch claim, in accounting form: over a
@@ -2042,11 +2021,7 @@ mod tests {
             for _ in 0..pushes {
                 expect.update_batch(&batch);
             }
-            assert_eq!(
-                merged.raw_self_join().to_bits(),
-                expect.raw_self_join().to_bits(),
-                "{partition:?}"
-            );
+            assert_eq!(f2_bits(&merged), f2_bits(&expect), "{partition:?}");
         }
     }
 

@@ -74,8 +74,8 @@ impl ShedderComparison {
             full,
             shedded,
             kept: shed.kept(),
-            full_estimate: full_sketch.raw_self_join(),
-            shedded_estimate: shed.self_join(),
+            full_estimate: full_sketch.raw_self_join_estimate().value,
+            shedded_estimate: shed.self_join_estimate().value,
         })
     }
 }

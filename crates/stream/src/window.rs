@@ -113,7 +113,7 @@ impl PanedWindowSketch {
 
     /// Self-join size estimate of the covered suffix.
     pub fn self_join(&self) -> Result<f64> {
-        Ok(self.window_sketch()?.raw_self_join())
+        Ok(self.window_sketch()?.raw_self_join_estimate().value)
     }
 
     /// Size-of-join estimate between this window and another (same
@@ -121,7 +121,7 @@ impl PanedWindowSketch {
     pub fn size_of_join(&self, other: &PanedWindowSketch) -> Result<f64> {
         let a = self.window_sketch()?;
         let b = other.window_sketch()?;
-        a.raw_size_of_join(&b)
+        Ok(a.raw_size_of_join_estimate(&b)?.value)
     }
 
     /// The memory footprint in panes (completed panes plus the current

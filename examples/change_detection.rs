@@ -35,7 +35,7 @@ fn main() {
         win.update(steady.sample(&mut rng));
     }
     let baseline = win.window_sketch().unwrap();
-    let baseline_f2 = baseline.raw_self_join();
+    let baseline_f2 = baseline.raw_self_join_estimate().value;
     println!("baseline window F₂ ≈ {baseline_f2:.3e}");
     println!(
         "\n{:>10} {:>14} {:>16}",
@@ -48,8 +48,8 @@ fn main() {
         println!(
             "{:>10} {:>14.3e} {:>16.3e}",
             label,
-            win.window_sketch().unwrap().raw_self_join(),
-            diff.raw_self_join()
+            win.window_sketch().unwrap().raw_self_join_estimate().value,
+            diff.raw_self_join_estimate().value
         );
     };
 

@@ -82,7 +82,8 @@ fn main() {
         merged.merge(&part).expect("same schema");
         kept_total += kept;
     }
-    let est = merged.raw_self_join() / (p * p) - (1.0 - p) / (p * p) * kept_total as f64;
+    let est =
+        merged.raw_self_join_estimate().value / (p * p) - (1.0 - p) / (p * p) * kept_total as f64;
     println!(
         "\ncoordinator estimate: {est:.4e}  (rel. error {:.2}%)",
         100.0 * (est - truth).abs() / truth
@@ -95,7 +96,7 @@ fn main() {
     let mtps = flat.len() as f64 / start.elapsed().as_secs_f64() / 1e6;
     println!(
         "parallel_shed (threads): {:.4e}  (rel. error {:.2}%, {mtps:.1} Mt/s)",
-        r.self_join(),
-        100.0 * (r.self_join() - truth).abs() / truth,
+        r.self_join_estimate().value,
+        100.0 * (r.self_join_estimate().value - truth).abs() / truth,
     );
 }

@@ -16,7 +16,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::JoinSchema;
-use sketch_sampled_streams::core::{JoinQuery, RateGrid};
+use sketch_sampled_streams::core::RateGrid;
 use sketch_sampled_streams::datagen::ZipfGenerator;
 use sketch_sampled_streams::exact::ExactAggregator;
 use sketch_sampled_streams::stream::{ControllerConfig, EngineBuilder};
@@ -50,7 +50,7 @@ fn main() {
         }
         // Live query: snapshots queue behind accepted batches, so this
         // covers every tuple pushed so far without stopping ingest.
-        let est = engine.merged().expect("snapshot").self_join();
+        let est = engine.self_join_estimate().expect("no shard died").value;
         let truth = exact.self_join();
         println!(
             "round {round}: live F2 = {est:.3e}  exact = {truth:.3e}  \
@@ -95,7 +95,7 @@ fn main() {
         "queue high-water: {} batch(es) — never exceeds depth + 1",
         engine.queue_high_water()
     );
-    let est = engine.self_join().expect("combined estimate");
+    let est = engine.self_join_estimate().expect("no shard died").value;
     let truth = exact.self_join();
     println!(
         "combined F2 = {est:.3e}  exact = {truth:.3e}  rel_err = {:+.2}%",

@@ -157,12 +157,13 @@ fn run_selfjoin(
     for &k in &keys {
         shed.observe(k);
     }
-    let est = shed.self_join();
+    let typed = shed.self_join_estimate();
+    let est = typed.value;
     println!("tuples     {}", keys.len());
     println!("sketched   {}", shed.kept());
     println!("estimate   {est:.2}");
     if let Some(level) = confidence {
-        print_intervals(&shed.self_join_estimate(), level);
+        print_intervals(&typed, level);
     }
     if has_flag(args, "exact") {
         let truth = exact_self_join(&keys);
@@ -194,12 +195,13 @@ fn run_join(
     for &k in &g_keys {
         gs.observe(k);
     }
-    let est = fs.size_of_join(&gs)?;
+    let typed = fs.size_of_join_estimate(&gs)?;
+    let est = typed.value;
     println!("tuples     {} ⋈ {}", f_keys.len(), g_keys.len());
     println!("sketched   {} + {}", fs.kept(), gs.kept());
     println!("estimate   {est:.2}");
     if let Some(level) = confidence {
-        print_intervals(&fs.size_of_join_estimate(&gs)?, level);
+        print_intervals(&typed, level);
     }
     if has_flag(args, "exact") {
         let truth = exact_join(&f_keys, &g_keys);
@@ -587,8 +589,8 @@ fn run_bench_client(args: &[String]) -> Result<()> {
         let truth = exact.self_join();
         let mut queries = QueryClient::connect(query_addr)?;
         let line = queries.request("{\"cmd\":\"self_join\",\"confidence\":0.99}")?;
-        let estimate = net::protocol::response_f64(&line, "value");
-        let half_width = net::protocol::response_f64(&line, "half_width_chebyshev");
+        let estimate = net::protocol::response_field::<f64>(&line, "value");
+        let half_width = net::protocol::response_field(&line, "half_width_chebyshev");
         let (Some(estimate), Some(half_width)) = (estimate, half_width) else {
             return Err(Error::CheckFailed {
                 what: "self_join response",

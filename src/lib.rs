@@ -37,8 +37,10 @@
 //! for i in 0..100_000u64 {
 //!     sketcher.observe(i % 500); // sketch a 10% sample of the stream
 //! }
-//! let f2 = sketcher.self_join(); // unbiased estimate of the FULL stream's F₂
-//! assert!((f2 - 2e7).abs() / 2e7 < 0.1);
+//! // An unbiased estimate of the FULL stream's F₂, with error state.
+//! let f2 = sketcher.self_join_estimate();
+//! assert!((f2.value - 2e7).abs() / 2e7 < 0.1);
+//! assert!(f2.clt(0.95).unwrap().contains(f2.value));
 //! ```
 
 pub mod error;

@@ -56,7 +56,7 @@ fn overloaded_run(seed: u64) -> (f64, u64) {
         engine.queue_high_water()
     );
     let shed_seen = engine.shedder().expect("shedding enabled").seen();
-    let est = engine.self_join().unwrap();
+    let est = engine.self_join_estimate().unwrap().value;
     (est, shed_seen)
 }
 

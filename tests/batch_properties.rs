@@ -184,6 +184,6 @@ proptest! {
         prop_assert_eq!(kept, kept_batched);
         prop_assert_eq!(scalar.seen(), batched.seen());
         prop_assert_eq!(scalar.kept(), batched.kept());
-        prop_assert_eq!(scalar.self_join(), batched.self_join());
+        prop_assert_eq!(scalar.self_join_estimate(), batched.self_join_estimate());
     }
 }

@@ -350,3 +350,77 @@ fn topk_rejects_p_zero_loudly() {
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
 }
+
+/// Golden output: the exact stdout of `selfjoin`, `join` and `multi` on
+/// fixed key files and seeds. The other tests check shapes and bounds;
+/// this one pins every printed digit of the estimate and interval lines,
+/// so a refactor of the query path cannot silently change an answer.
+#[test]
+fn estimate_and_interval_lines_are_pinned() {
+    let dir = std::env::temp_dir().join("sss-cli-test-golden");
+    std::fs::create_dir_all(&dir).unwrap();
+    let f = dir.join("f.txt");
+    let g = dir.join("g.txt");
+    write_keys(
+        &f,
+        (0..40_000u64)
+            .map(|i| (i * 7919) % 500)
+            .chain(std::iter::repeat(7).take(5_000)),
+    );
+    write_keys(&g, (0..30_000u64).map(|i| (i * 104_729) % 800));
+    let (f, g) = (f.to_str().unwrap(), g.to_str().unwrap());
+    let golden: [(&[&str], &str); 3] = [
+        (
+            &["selfjoin", f, "--p=0.5", "--seed=7"],
+            "\
+tuples     45000
+sketched   22389
+estimate   27827370.00
+interval   27827370.00 ± 3426719.18 [chebyshev 95%]
+interval   27827370.00 ± 1501798.30 [clt 95%]
+exact      29000000.00
+rel_error  4.0436%
+",
+        ),
+        (
+            &["join", f, g, "--p=0.5", "--q=0.25", "--seed=3"],
+            "\
+tuples     45000 ⋈ 30000
+sketched   22590 + 7503
+estimate   1736032.00
+interval   1736032.00 ± 1429109.90 [chebyshev 95%]
+interval   1736032.00 ± 626323.52 [clt 95%]
+exact      1689920.00
+rel_error  2.7286%
+",
+        ),
+        (
+            &["multi", f, "--p=0.5", "--k=3", "--seed=3"],
+            "\
+tuples     45000
+sketched   22384
+self_join  28478768.00
+interval   28478768.00 ± 3486707.61 [chebyshev 95%]
+interval   28478768.00 ± 1528088.91 [clt 95%]
+           (exact 29000000.00)
+distinct   494.71
+           (exact 500)
+median     213.00 ∈ [202.00, 229.00]
+p99        493.00 ∈ [482.00, 499.00]
+top1       key 7: 5032.00 (exact 5080)
+top2       key 242: 162.00 (exact 80)
+top3       key 219: 138.00 (exact 80)
+",
+        ),
+    ];
+    for (args, expected) in golden {
+        let out = sss()
+            .args(args)
+            .args(["--exact", "--confidence=0.95"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        assert_eq!(String::from_utf8(out.stdout).unwrap(), expected, "{args:?}");
+    }
+}

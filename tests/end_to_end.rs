@@ -26,8 +26,8 @@ fn zipf_stream_shedding_keeps_accuracy_at_10_percent() {
         full.observe(k);
         shed.observe(k);
     }
-    let full_err = (full.self_join() - truth).abs() / truth;
-    let shed_err = (shed.self_join() - truth).abs() / truth;
+    let full_err = (full.self_join_estimate().value - truth).abs() / truth;
+    let shed_err = (shed.self_join_estimate().value - truth).abs() / truth;
     assert!(full_err < 0.05, "full-stream error {full_err}");
     assert!(shed_err < 0.12, "10%-sample error {shed_err}");
     assert!(shed.kept() < 50_000, "≈10% of the stream should be kept");
@@ -55,7 +55,7 @@ fn predicted_confidence_interval_covers_realized_estimates() {
         for &k in &stream {
             shed.observe(k);
         }
-        if ci.contains(shed.self_join()) {
+        if ci.contains(shed.self_join_estimate().value) {
             inside += 1;
         }
     }
@@ -170,7 +170,7 @@ fn three_regimes_agree_on_one_relation() {
         wor.observe(k).unwrap();
     }
     for (name, est) in [
-        ("bernoulli", shed.self_join()),
+        ("bernoulli", shed.self_join_estimate().value),
         ("wr", iid.self_join().unwrap()),
         ("wor", wor.self_join().unwrap()),
     ] {

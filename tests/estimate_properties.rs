@@ -1,8 +1,10 @@
-//! Property tests for the typed [`Estimate`] query path: every public
-//! query surface must report an `Estimate` whose **value is bit-identical**
-//! to the legacy scalar query, whose intervals are centered on that value,
-//! and whose Chebyshev interval is never tighter than the CLT interval at
-//! the same confidence level.
+//! Property tests for the [`Estimate`] query path: every public join
+//! query must report an `Estimate` whose **value is bit-identical** to an
+//! independent expression of the estimator (the backend's lane combiner,
+//! the paper's Bernoulli correction, the engine's `A·A + O·O + 2·A·O`
+//! decomposition), whose intervals are centered on that value, and whose
+//! Chebyshev interval is never tighter than the CLT interval at the same
+//! confidence level.
 //!
 //! [`Estimate`]: sketch_sampled_streams::core::Estimate
 
@@ -10,8 +12,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::JoinSchema;
-use sketch_sampled_streams::core::{EpochShedder, JoinQuery, Sampled};
-use sketch_sampled_streams::sketch::{AgmsSchema, CountMinSchema, Estimate, FagmsSchema};
+use sketch_sampled_streams::core::{bernoulli_self_join, EpochShedder, JoinQuery, Sampled};
+use sketch_sampled_streams::sketch::estimate::{mean, median};
+use sketch_sampled_streams::sketch::{
+    AgmsSchema, CountMinSchema, CountMinSketch, Estimate, FagmsSchema,
+};
 use sketch_sampled_streams::stream::{parallel_shed, EngineBuilder, RuntimeConfig, ShardedRuntime};
 
 /// Shared coherence checks: finite-value intervals centered on the point
@@ -32,6 +37,19 @@ fn assert_coherent(e: &Estimate) {
     }
 }
 
+/// Count-Min's combiner: the minimum of the per-row inner products.
+fn min_row_product(a: &CountMinSketch, b: &CountMinSketch) -> f64 {
+    (0..a.schema().depth())
+        .map(|r| {
+            a.row(r)
+                .iter()
+                .zip(b.row(r))
+                .map(|(&s, &t)| s as f64 * t as f64)
+                .sum::<f64>()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// A small but non-degenerate key stream: `len` keys over `domain` values.
 fn keys(len: usize, domain: u64) -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(0..domain, 1..len)
@@ -40,17 +58,18 @@ fn keys(len: usize, domain: u64) -> impl Strategy<Value = Vec<u64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Typed sketch estimates (AGMS mean, F-AGMS median, Count-Min min)
-    /// carry the scalar values bit for bit.
+    /// Sketch estimates carry their lane combiner's value bit for bit:
+    /// AGMS mean, F-AGMS median, Count-Min minimum.
     #[test]
     fn sketch_estimates_are_bit_identical(
         seed in 0u64..1000,
+        depth in 1usize..4,
         f in keys(400, 64),
         g in keys(400, 64),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let agms: AgmsSchema = AgmsSchema::new(16, &mut rng);
-        let fagms: FagmsSchema = FagmsSchema::new(3, 32, &mut rng);
+        let fagms: FagmsSchema = FagmsSchema::new(depth, 32, &mut rng);
         let cm: CountMinSchema = CountMinSchema::new(3, 32, &mut rng);
 
         let (mut af, mut ag) = (agms.sketch(), agms.sketch());
@@ -67,31 +86,38 @@ proptest! {
             sketch_sampled_streams::sketch::Sketch::update(&mut cg, k, 1);
         }
 
-        // Inherent methods.
-        prop_assert_eq!(af.self_join_estimate().value.to_bits(), af.self_join().to_bits());
-        prop_assert_eq!(ff.self_join_estimate().value.to_bits(), ff.self_join().to_bits());
-        prop_assert_eq!(cf.self_join_estimate().value.to_bits(), cf.self_join().to_bits());
+        let bits = |e: Estimate| e.value.to_bits();
+        prop_assert_eq!(bits(af.self_join_estimate()), mean(&af.self_join_basics()).to_bits());
+        prop_assert_eq!(bits(ff.self_join_estimate()), median(&ff.self_join_rows()).to_bits());
+        prop_assert_eq!(bits(cf.self_join_estimate()), min_row_product(&cf, &cf).to_bits());
         prop_assert_eq!(
-            af.size_of_join_estimate(&ag).unwrap().value.to_bits(),
-            af.size_of_join(&ag).unwrap().to_bits()
+            bits(af.size_of_join_estimate(&ag).unwrap()),
+            mean(&af.size_of_join_basics(&ag).unwrap()).to_bits()
         );
         prop_assert_eq!(
-            ff.size_of_join_estimate(&fg).unwrap().value.to_bits(),
-            ff.size_of_join(&fg).unwrap().to_bits()
+            bits(ff.size_of_join_estimate(&fg).unwrap()),
+            median(&ff.size_of_join_rows(&fg).unwrap()).to_bits()
         );
         prop_assert_eq!(
-            cf.size_of_join_estimate(&cg).unwrap().value.to_bits(),
-            cf.size_of_join(&cg).unwrap().to_bits()
+            bits(cf.size_of_join_estimate(&cg).unwrap()),
+            min_row_product(&cf, &cg).to_bits()
         );
+        // One F-AGMS row has no spread: the variance is the analytic
+        // fallback `(F₂(f)·F₂(g) + v²)/width`, built from the rows.
+        if depth == 1 {
+            let e = ff.size_of_join_estimate(&fg).unwrap();
+            let f2 = median(&ff.self_join_rows()) * median(&fg.self_join_rows());
+            prop_assert_eq!(e.variance.to_bits(), ((f2 + e.value * e.value) / 32.0).to_bits());
+        }
 
-        // Trait methods agree with the inherent ones.
+        // Trait methods agree with the lane combiners too.
         prop_assert_eq!(
-            JoinQuery::self_join_estimate(&af).value.to_bits(),
-            JoinQuery::self_join(&af).to_bits()
+            bits(JoinQuery::self_join_estimate(&af)),
+            mean(&af.self_join_basics()).to_bits()
         );
         prop_assert_eq!(
-            JoinQuery::self_join_estimate(&cf).value.to_bits(),
-            JoinQuery::self_join(&cf).to_bits()
+            bits(JoinQuery::self_join_estimate(&cf)),
+            min_row_product(&cf, &cf).to_bits()
         );
 
         assert_coherent(&af.self_join_estimate());
@@ -99,8 +125,10 @@ proptest! {
         assert_coherent(&af.size_of_join_estimate(&ag).unwrap());
     }
 
-    /// Shedding drivers: `Sampled` join sketches and `EpochShedder` (with
-    /// rate changes mid-stream) report bit-identical typed values.
+    /// Shedding drivers: `Sampled` join sketches carry the paper's
+    /// Bernoulli corrections of the raw sketch value bit for bit, and
+    /// `EpochShedder` (with rate changes mid-stream) reports its cached
+    /// scalar values.
     #[test]
     fn shedder_estimates_are_bit_identical(
         seed in 0u64..1000,
@@ -121,11 +149,13 @@ proptest! {
             shed.observe(k);
             other.observe(k);
         }
+        let raw = shed.summary().raw_self_join_estimate();
         let e = shed.self_join_estimate();
-        prop_assert_eq!(e.value.to_bits(), shed.self_join().to_bits());
+        prop_assert_eq!(e.value.to_bits(), bernoulli_self_join(raw.value, p, shed.kept()).to_bits());
         assert_coherent(&e);
+        let raw = shed.summary().raw_size_of_join_estimate(other.summary()).unwrap();
         let ej = shed.size_of_join_estimate(&other).unwrap();
-        prop_assert_eq!(ej.value.to_bits(), shed.size_of_join(&other).unwrap().to_bits());
+        prop_assert_eq!(ej.value.to_bits(), (raw.value / (p * other.probability())).to_bits());
         assert_coherent(&ej);
 
         // Epoch shedder with a mid-stream rate change.
@@ -151,9 +181,10 @@ proptest! {
         );
     }
 
-    /// The stream layer: sharded runtime and the full engine (with and
-    /// without an overflow-shedding leg) report bit-identical typed
-    /// values, and `parallel_shed` matches its scalar correction.
+    /// The stream layer: the sharded runtime and an engine without
+    /// shedding match the sequential sketch, an engine with a shedding leg
+    /// matches the `A·A + O·O + 2·A·O` sum of its parts, and
+    /// `parallel_shed` matches the Bernoulli correction.
     #[test]
     fn stream_layer_estimates_are_bit_identical(
         seed in 0u64..1000,
@@ -173,13 +204,14 @@ proptest! {
         }
         let mut seq = schema.sketch();
         seq.update_batch(&stream);
+        let seq_f2 = seq.raw_self_join_estimate().value;
         let e = rt.self_join_estimate().unwrap();
-        prop_assert_eq!(e.value.to_bits(), seq.raw_self_join().to_bits());
+        prop_assert_eq!(e.value.to_bits(), seq_f2.to_bits());
         assert_coherent(&e);
         let ej = rt.size_of_join_estimate(&rt2).unwrap();
-        prop_assert_eq!(ej.value.to_bits(), seq.raw_self_join().to_bits());
+        prop_assert_eq!(ej.value.to_bits(), seq_f2.to_bits());
 
-        // Engine without shedding: typed value = scalar value.
+        // Engine without shedding: the sequential sketch's value.
         let mut engine = EngineBuilder::new()
             .shards(shards)
             .schema(&schema)
@@ -187,7 +219,7 @@ proptest! {
             .unwrap();
         engine.push_batch(&stream, 1.0).unwrap();
         let e = engine.self_join_estimate().unwrap();
-        prop_assert_eq!(e.value.to_bits(), engine.self_join().unwrap().to_bits());
+        prop_assert_eq!(e.value.to_bits(), seq_f2.to_bits());
 
         // Engine with a saturated shedding leg.
         let mut overloaded = EngineBuilder::new()
@@ -201,17 +233,26 @@ proptest! {
         for chunk in stream.chunks(61) {
             overloaded.push_batch(chunk, 1e-6).unwrap();
         }
+        // A = the merged runtime sketch, O = the shedder's overflow.
+        let a = overloaded.merged().unwrap();
+        let o = overloaded.shedder().unwrap();
+        let parts = a.raw_self_join_estimate().value
+            + o.self_join().unwrap()
+            + 2.0 * o.size_of_join_sketch(&a, 1.0).unwrap();
         let e = overloaded.self_join_estimate().unwrap();
-        prop_assert_eq!(e.value.to_bits(), overloaded.self_join().unwrap().to_bits());
+        prop_assert_eq!(e.value.to_bits(), parts.to_bits());
         assert_coherent(&e);
+        let parts = a.raw_size_of_join_estimate(&seq).unwrap().value
+            + o.size_of_join_sketch(&seq, 1.0).unwrap();
         let ej = overloaded.size_of_join_estimate(&engine).unwrap();
-        prop_assert_eq!(
-            ej.value.to_bits(),
-            overloaded.size_of_join(&engine).unwrap().to_bits()
-        );
+        prop_assert_eq!(ej.value.to_bits(), parts.to_bits());
 
         // One-shot parallel shedding.
         let r = parallel_shed(&schema, &stream, 0.5, shards, &mut rng).unwrap();
-        prop_assert_eq!(r.self_join_estimate().value.to_bits(), r.self_join().to_bits());
+        let raw = r.summary().raw_self_join_estimate().value;
+        prop_assert_eq!(
+            r.self_join_estimate().value.to_bits(),
+            bernoulli_self_join(raw, 0.5, r.kept()).to_bits()
+        );
     }
 }

@@ -86,7 +86,7 @@ fn engine_estimate_matches_exact_under_overload() {
         engine.queue_high_water() <= 2,
         "bounded queue must never hold more than depth + 1 batches"
     );
-    let est = engine.self_join().unwrap();
+    let est = engine.self_join_estimate().unwrap().value;
     let truth = exact.self_join();
     assert!(
         (est - truth).abs() / truth < 0.1,
@@ -157,7 +157,7 @@ fn planner_sizes_a_real_sketch_correctly() {
                 shed.observe(key);
             }
         }
-        let rel = (shed.self_join() - truth) / truth;
+        let rel = (shed.self_join_estimate().value - truth) / truth;
         sq_err += rel * rel;
     }
     let rmse = (sq_err / reps as f64).sqrt();
