@@ -1,6 +1,6 @@
 //! Acceptance measurement for the vectorized sign/bucket kernels: scalar
-//! per-key loops vs the width-8 chunked kernels vs (when the build and the
-//! host allow it) the runtime-dispatched AVX2 path, per ξ family.
+//! per-key loops vs the width-8 chunked kernels vs (when the host allows
+//! it) the runtime-dispatched AVX2 path, per ξ family.
 //!
 //! Three paths per family:
 //!
@@ -9,16 +9,16 @@
 //! * `chunked` — the fixed-width-8 array kernels
 //!   (`sss_xi::kernels::*_chunked`, `Dispatch::chunked()`), which LLVM
 //!   autovectorizes;
-//! * `avx2` — the `std::arch` path behind `--features simd`, measured only
-//!   when [`Dispatch::get()`] actually selected it (i.e. the binary was
-//!   built with the feature **and** the host reports AVX2); on any other
-//!   host the row is simply absent, never wrong.
+//! * `avx2` — the `std::arch` path compiled into every x86-64 build,
+//!   measured only when [`Dispatch::get()`] actually selected it (the host
+//!   reports AVX2); on any other host the row is simply absent, never
+//!   wrong.
 //!
 //! All three paths are bit-identical by construction (proptest-enforced in
 //! `tests/kernel_identity.rs`); this binary measures only throughput.
 //!
 //! ```text
-//! cargo run --release -p sss-bench --features simd --bin simd_kernels \
+//! cargo run --release -p sss-bench --bin simd_kernels \
 //!     [--batch=65536] [--reps=30] [--seed=1]
 //! ```
 //!

@@ -47,12 +47,16 @@ pub fn arg<T: std::str::FromStr + Display + Copy>(name: &str, default: T) -> T {
 }
 
 /// Print a standard experiment banner (goes to stderr so stdout stays a
-/// clean CSV).
+/// clean CSV), ending with the host facts every recorded number needs:
+/// the core count and the `sss_xi` kernel path the run took.
 pub fn banner(figure: &str, description: &str, params: &[(&str, String)]) {
     eprintln!("# {figure}: {description}");
     for (k, v) in params {
         eprintln!("#   {k} = {v}");
     }
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    eprintln!("#   available_parallelism = {cores}");
+    eprintln!("#   dispatch = {}", sss_xi::Dispatch::get().label());
 }
 
 /// Mean of the absolute relative errors of `estimates` against `truth`.

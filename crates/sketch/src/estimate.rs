@@ -30,28 +30,36 @@ pub fn mean(values: &[f64]) -> f64 {
 /// lengths). Empty input returns 0.
 pub fn median(values: &[f64]) -> f64 {
     let mut v = values.to_vec();
-    median_in_place(&mut v)
+    median_in_place(&mut v, |x| x)
 }
 
-/// Allocation-free variant of [`median`]: reorders `values` in place. Hot
-/// query paths (per-tuple point queries) use this on a stack buffer, so
-/// the common small depths take comparison networks instead of a sort;
-/// the returned value (the multiset middle) is identical either way.
-pub(crate) fn median_in_place(values: &mut [f64]) -> f64 {
+/// Allocation-free variant of [`median`]: reorders `values` in place and
+/// reports the middle through `to_f64`. Hot query paths (per-tuple point
+/// queries) use this on a stack buffer, so the common small depths take
+/// comparison networks instead of a sort; the returned value (the
+/// multiset middle) is identical either way. The per-tuple path passes
+/// its integer row estimates as `i64`: integer compares compile to
+/// branch-free selects, and since `i64 → f64` is monotone the middle
+/// converts to exactly the value the `f64` median would pick.
+#[inline]
+pub(crate) fn median_in_place<T: Copy + PartialOrd>(
+    values: &mut [T],
+    to_f64: impl Fn(T) -> f64,
+) -> f64 {
     #[inline]
-    fn order(v: &mut [f64], i: usize, j: usize) {
+    fn order<T: Copy + PartialOrd>(v: &mut [T], i: usize, j: usize) {
         if v[i] > v[j] {
             v.swap(i, j);
         }
     }
     match values.len() {
         0 => 0.0,
-        1 => values[0],
+        1 => to_f64(values[0]),
         3 => {
             order(values, 0, 1);
             order(values, 1, 2);
             order(values, 0, 1);
-            values[1]
+            to_f64(values[1])
         }
         5 => {
             // Sort the first four, then slot the fifth into the middle:
@@ -64,22 +72,19 @@ pub(crate) fn median_in_place(values: &mut [f64]) -> f64 {
             let low = values[1];
             let high = values[2];
             let e = values[4];
-            if e <= low {
-                low
-            } else if e >= high {
-                high
-            } else {
-                e
-            }
+            // Two independent selects rather than an `else if` chain, so
+            // integer inputs compile to conditional moves.
+            let capped = if e >= high { high } else { e };
+            to_f64(if e <= low { low } else { capped })
         }
         len => {
-            // Total order on f64: estimates are finite by construction.
+            // Total order: estimates are finite by construction.
             values.sort_by(|a, b| a.partial_cmp(b).expect("sketch estimates must not be NaN"));
             let mid = len / 2;
             if len % 2 == 1 {
-                values[mid]
+                to_f64(values[mid])
             } else {
-                (values[mid - 1] + values[mid]) / 2.0
+                (to_f64(values[mid - 1]) + to_f64(values[mid])) / 2.0
             }
         }
     }

@@ -212,6 +212,50 @@ impl<S: SignFamily, B: BucketFamily> FagmsSchema<S, B> {
     }
 }
 
+/// Stack budget of [`ChunkHashes`] in (sign, bucket) pairs: `depth ×
+/// keys` per chunk. 1024 pairs are 16 KiB and hold 200 keys of a depth-5
+/// sketch.
+const HASH_BUDGET: usize = 1024;
+
+/// One chunk of keys hashed through every row of a sketch, row-major: the
+/// chunk's key `i` has its row-`r` sign and bucket at `r × len + i`. It
+/// lives on the caller's stack; [`FagmsSketch::hash_chunk`] fills it once
+/// per chunk, and the caller then applies the chunk's keys one by one
+/// through [`FagmsSketch::update_by`] / [`FagmsSketch::update_and_query_by`].
+pub(crate) struct ChunkHashes {
+    signs: [i64; HASH_BUDGET],
+    buckets: [usize; HASH_BUDGET],
+    len: usize,
+}
+
+impl ChunkHashes {
+    pub(crate) fn new() -> Self {
+        Self {
+            signs: [0; HASH_BUDGET],
+            buckets: [0; HASH_BUDGET],
+            len: 0,
+        }
+    }
+
+    /// Row `r`'s (sign, bucket) of the chunk's key `i`.
+    #[inline]
+    pub(crate) fn get(&self, r: usize, i: usize) -> (i64, usize) {
+        let j = r * self.len + i;
+        (self.signs[j], self.buckets[j])
+    }
+}
+
+/// The row-hash source of a key hashed on the spot: row `r`'s sign and
+/// bucket of `key`, for [`FagmsSketch::update_by`] and
+/// [`FagmsSketch::update_and_query_by`].
+#[inline]
+pub(crate) fn hash_key<S: SignFamily, B: BucketFamily>(
+    key: u64,
+    width: usize,
+) -> impl Fn(usize, &S, &B) -> (i64, usize) {
+    move |_, sign, bucket| (sign.sign(key), bucket.bucket(key, width))
+}
+
 /// An F-AGMS sketch: `depth × width` counters.
 #[derive(Debug)]
 pub struct FagmsSketch<S = DefaultSign, B = DefaultBucket> {
@@ -364,35 +408,80 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// two operations in sequence; the per-tuple heavy-hitter path
     /// ([`CountSketchTopK`](crate::CountSketchTopK)) lives on this.
     pub fn update_and_query(&mut self, key: u64, count: i64) -> f64 {
+        self.update_and_query_by(count, hash_key(key, self.schema.width))
+    }
+
+    /// Keys per [`hash_chunk`](Self::hash_chunk) call at this depth: a
+    /// multiple of the kernels' 8 lanes, or `None` when a sketch this deep
+    /// overflows the stack budget and callers should hash key by key.
+    pub(crate) fn hash_chunk_len(&self) -> Option<usize> {
+        let lanes = sss_xi::kernels::CHUNK;
+        let len = HASH_BUDGET / self.schema.depth() / lanes * lanes;
+        (len > 0).then_some(len)
+    }
+
+    /// Hash `keys` (at most [`hash_chunk_len`](Self::hash_chunk_len) of
+    /// them) through every row at once, on the batched kernels.
+    pub(crate) fn hash_chunk(&self, keys: &[u64], hashes: &mut ChunkHashes) {
+        let (w, n) = (self.schema.width, keys.len());
+        hashes.len = n;
+        for (r, row) in self.schema.rows.iter().enumerate() {
+            crate::rowkernel::signed_row_slots(
+                &row.sign,
+                &row.bucket,
+                w,
+                keys,
+                &mut hashes.signs[r * n..(r + 1) * n],
+                &mut hashes.buckets[r * n..(r + 1) * n],
+            );
+        }
+    }
+
+    /// One key's update, reading row `r`'s (sign, bucket) from
+    /// `hash(r, sign_family, bucket_family)`: [`hash_key`] hashes on the
+    /// spot, the batched top-k path reads a [`ChunkHashes`].
+    #[inline]
+    pub(crate) fn update_by(&mut self, count: i64, hash: impl Fn(usize, &S, &B) -> (i64, usize)) {
+        let w = self.schema.width;
+        for (r, row) in self.schema.rows.iter().enumerate() {
+            let (sign, b) = hash(r, &row.sign, &row.bucket);
+            self.counters[r * w + b] += count * sign;
+        }
+    }
+
+    /// [`update_and_query`](Self::update_and_query) with the hashes read
+    /// as in [`update_by`](Self::update_by).
+    #[inline]
+    pub(crate) fn update_and_query_by(
+        &mut self,
+        count: i64,
+        hash: impl Fn(usize, &S, &B) -> (i64, usize),
+    ) -> f64 {
         const STACK_ROWS: usize = 16;
         let w = self.schema.width;
         let depth = self.schema.rows.len();
-        let mut stack = [0.0f64; STACK_ROWS];
+        let mut stack = [0i64; STACK_ROWS];
         let mut heap = Vec::new();
-        let per_row: &mut [f64] = if depth <= STACK_ROWS {
+        let per_row: &mut [i64] = if depth <= STACK_ROWS {
             &mut stack[..depth]
         } else {
-            heap.resize(depth, 0.0);
+            heap.resize(depth, 0);
             &mut heap
         };
         for (r, row) in self.schema.rows.iter().enumerate() {
-            let sign = row.sign.sign(key);
-            let counter = &mut self.counters[r * w + row.bucket.bucket(key, w)];
+            let (sign, b) = hash(r, &row.sign, &row.bucket);
+            let counter = &mut self.counters[r * w + b];
             *counter += count * sign;
-            per_row[r] = (sign * *counter) as f64;
+            per_row[r] = sign * *counter;
         }
-        estimate::median_in_place(per_row)
+        estimate::median_in_place(per_row, |v| v as f64)
     }
 }
 
 impl<S: SignFamily, B: BucketFamily> Sketch for FagmsSketch<S, B> {
     #[inline]
     fn update(&mut self, key: u64, count: i64) {
-        let w = self.schema.width;
-        for (r, row) in self.schema.rows.iter().enumerate() {
-            let b = row.bucket.bucket(key, w);
-            self.counters[r * w + b] += count * row.sign.sign(key);
-        }
+        self.update_by(count, hash_key(key, self.schema.width));
     }
 
     // Row-major batched kernel. Each row's polynomial-vs-generic dispatch

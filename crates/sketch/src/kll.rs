@@ -145,10 +145,21 @@ impl KllSketch {
         }
     }
 
-    /// Observe every value in the batch.
-    pub fn insert_batch(&mut self, values: &[u64]) {
-        for &v in values {
-            self.insert(v);
+    /// Observe every value in the batch. Appends to level 0 in runs that
+    /// end exactly where the per-key [`insert`](Self::insert) loop would
+    /// overflow — `cap_total + 1 − stored` items — and compresses there,
+    /// so state and the coin stream are bit-identical to that loop.
+    pub fn insert_batch(&mut self, mut values: &[u64]) {
+        while !values.is_empty() {
+            let run = (self.cap_total + 1).saturating_sub(self.stored).max(1);
+            let (head, rest) = values.split_at(run.min(values.len()));
+            self.compactors[0].extend_from_slice(head);
+            self.n += head.len() as u64;
+            self.stored += head.len();
+            if self.stored > self.cap_total {
+                self.compress();
+            }
+            values = rest;
         }
     }
 

@@ -10,12 +10,13 @@
 //! (and mirrored in `agms.rs` through the family sum kernels); it lives
 //! here exactly once now.
 //!
-//! All four helpers inherit the kernels' bit-identity contract: the
-//! counter row ends up byte-identical to the per-key
-//! `counters[bucket] += sign·count` loop.
+//! Every helper inherits the kernels' bit-identity contract: the scatter
+//! helpers leave the counter row byte-identical to the per-key
+//! `counters[bucket] += sign·count` loop, and `signed_row_slots` writes
+//! exactly the per-key `sign(k)` and `bucket(k, width)` values.
 
 use crate::BATCH_CHUNK;
-use sss_xi::{BucketFamily, SignFamily};
+use sss_xi::{BucketFamily, Dispatch, SignFamily};
 
 /// F-AGMS row, unit counts: `row[bucket(k)] += sign(k)` for every key.
 pub(crate) fn signed_row_keys<S: SignFamily, B: BucketFamily>(
@@ -70,6 +71,25 @@ pub(crate) fn signed_row_items<S: SignFamily, B: BucketFamily>(
             row_counters[b] += s * c;
         }
     }
+}
+
+/// F-AGMS row, hashes only: `signs[i] = sign(keys[i])` and
+/// `slots[i] = bucket(keys[i])`, for callers that apply each key's update
+/// themselves (the top-k path reads a key's counters between updates).
+pub(crate) fn signed_row_slots<S: SignFamily, B: BucketFamily>(
+    sign: &S,
+    bucket: &B,
+    width: usize,
+    keys: &[u64],
+    signs: &mut [i64],
+    slots: &mut [usize],
+) {
+    if let (Some(sc), Some(bc)) = (sign.poly_coeffs(), bucket.poly_coeffs()) {
+        sss_xi::kernels::signed_slots(Dispatch::get(), sc, bc, width, keys, signs, slots);
+        return;
+    }
+    sign.sign_batch(keys, signs);
+    bucket.bucket_batch(keys, width, slots);
 }
 
 /// Count-Min row, unit counts: `row[bucket(k)] += 1` for every key.

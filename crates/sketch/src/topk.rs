@@ -20,7 +20,7 @@
 //!
 //! Both summaries report **raw** (sample-universe) estimates; the
 //! `1/p`-unbiasing for Bernoulli-sampled streams lives one layer up in
-//! `sss-core::SampledTopK`, next to the paper's Prop. 13/14 corrections
+//! `sss-core::Sampled<S>`, next to the paper's Prop. 13/14 corrections
 //! for the join estimators.
 //!
 //! Top-k answers are a *pure function* of the summary state and its
@@ -33,7 +33,7 @@
 //! sequential top-k.
 
 use crate::error::{Error, Result};
-use crate::fagms::{FagmsSchema, FagmsSketch};
+use crate::fagms::{hash_key, ChunkHashes, FagmsSchema, FagmsSketch};
 use crate::fasthash::KeyHashMap;
 use crate::Sketch;
 use sss_xi::{BucketFamily, DefaultBucket, DefaultSign, SignFamily};
@@ -442,6 +442,42 @@ impl<S: SignFamily, B: BucketFamily> CountSketchTopK<S, B> {
         &self.sketch
     }
 
+    /// The admission body shared by [`offer`](HeavyHitters::offer) and
+    /// [`offer_batch`](HeavyHitters::offer_batch) for a positive `count`:
+    /// row `r`'s (sign, bucket) of `key` comes from `hash`, either hashed
+    /// on the spot or read from a chunk hashed ahead of time.
+    #[inline]
+    fn admit(&mut self, key: u64, count: i64, hash: impl Fn(usize, &S, &B) -> (i64, usize)) {
+        self.offered += count as u64;
+        if let Some(est) = self.candidates.get_mut(&key) {
+            *est += count as f64;
+            self.sketch.update_by(count, hash);
+            if key == self.min_key {
+                // The cached min grew; another candidate may now be
+                // weakest. Rebuild lazily on the next admission test.
+                self.min_dirty = true;
+            }
+            return;
+        }
+        // Non-candidate: the admission test needs the post-update point
+        // estimate anyway, so the fused sketch op reads each row's hashes
+        // once (state identical to update-then-query).
+        let est = self.sketch.update_and_query_by(count, hash);
+        if self.candidates.len() < self.capacity {
+            self.candidates.insert(key, est);
+            self.min_dirty = true;
+            return;
+        }
+        if self.min_dirty {
+            self.recompute_min();
+        }
+        if est > self.min_est {
+            self.candidates.remove(&self.min_key);
+            self.candidates.insert(key, est);
+            self.recompute_min();
+        }
+    }
+
     /// Recompute the weakest candidate: smallest estimate, ties broken
     /// toward the *larger* key (so the smaller key survives eviction,
     /// matching the top-k tie-break).
@@ -466,33 +502,28 @@ impl<S: SignFamily, B: BucketFamily> HeavyHitters for CountSketchTopK<S, B> {
             self.sketch.update(key, count);
             return;
         }
-        self.offered += count as u64;
-        if let Some(est) = self.candidates.get_mut(&key) {
-            *est += count as f64;
-            self.sketch.update(key, count);
-            if key == self.min_key {
-                // The cached min grew; another candidate may now be
-                // weakest. Rebuild lazily on the next admission test.
-                self.min_dirty = true;
+        let width = self.sketch.schema().width();
+        self.admit(key, count, hash_key(key, width));
+    }
+
+    /// Hashes each chunk of keys through every row once on the batched
+    /// `sss-xi` kernels, then admits the keys in order from those hashes:
+    /// state is bit-identical to the per-key `offer(k, 1)` loop, because
+    /// hashes are pure functions of the key and every counter update and
+    /// admission test still happens in stream order.
+    fn offer_batch(&mut self, keys: &[u64]) {
+        let Some(chunk_len) = self.sketch.hash_chunk_len() else {
+            for &key in keys {
+                self.offer(key, 1);
             }
             return;
-        }
-        // Non-candidate: the admission test needs the post-update point
-        // estimate anyway, so the fused sketch op computes each row's
-        // hashes once (state identical to update-then-query).
-        let est = self.sketch.update_and_query(key, count);
-        if self.candidates.len() < self.capacity {
-            self.candidates.insert(key, est);
-            self.min_dirty = true;
-            return;
-        }
-        if self.min_dirty {
-            self.recompute_min();
-        }
-        if est > self.min_est {
-            self.candidates.remove(&self.min_key);
-            self.candidates.insert(key, est);
-            self.recompute_min();
+        };
+        let mut hashes = ChunkHashes::new();
+        for chunk in keys.chunks(chunk_len) {
+            self.sketch.hash_chunk(chunk, &mut hashes);
+            for (i, &key) in chunk.iter().enumerate() {
+                self.admit(key, 1, |r, _, _| hashes.get(r, i));
+            }
         }
     }
 
@@ -723,6 +754,26 @@ mod tests {
         // Capacity mismatch is structural too.
         let c = CountSketchTopK::new(&s1, 8).unwrap();
         assert_eq!(a.merge(&c).unwrap_err(), Error::SchemaMismatch);
+    }
+
+    /// A sketch too deep for the chunk-hash stack budget offers key by
+    /// key; state still matches the per-key loop byte for byte.
+    #[test]
+    fn offer_batch_beyond_the_hash_budget_matches_offer() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let schema: FagmsSchema = FagmsSchema::new(129, 8, &mut rng);
+        assert_eq!(schema.sketch().hash_chunk_len(), None);
+        let stream = skewed_stream();
+        let mut batched = CountSketchTopK::new(&schema, 4).unwrap();
+        batched.offer_batch(&stream);
+        let mut scalar = CountSketchTopK::new(&schema, 4).unwrap();
+        for &k in &stream {
+            scalar.offer(k, 1);
+        }
+        assert_eq!(
+            serde_json::to_string(&batched).unwrap(),
+            serde_json::to_string(&scalar).unwrap()
+        );
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! * a **chunked** path: fixed-width-8 array inner loops that LLVM can
 //!   autovectorize (and that provide instruction-level parallelism even
 //!   where it cannot), compiled for every target; and
-//! * an **AVX2** path behind the `simd` cargo feature: explicit
+//! * an **AVX2** path, compiled on every x86-64 build: explicit
 //!   `std::arch` intrinsics in the single audited `avx2` submodule,
-//!   selected *at runtime* via `is_x86_feature_detected!` so a binary
-//!   built with the feature still runs correctly on older x86-64 parts.
+//!   selected *at runtime* via `is_x86_feature_detected!` so the same
+//!   binary still runs correctly (on the chunked path) on x86-64 parts
+//!   without AVX2.
 //!
 //! The selection is memoized in a [`Dispatch`] value; callers grab it once
 //! per batch (an atomic load) and thread it through the kernels.
@@ -49,7 +50,7 @@ enum Path {
     /// Safe fixed-width-8 loops; always available.
     Chunked,
     /// Explicit AVX2 intrinsics; only constructed after runtime detection.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     Avx2(avx2::Avx2Token),
 }
 
@@ -68,7 +69,7 @@ pub struct Dispatch {
 impl Dispatch {
     /// The fastest path supported by the running CPU (memoized).
     pub fn get() -> Self {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         {
             use std::sync::OnceLock;
             static DETECTED: OnceLock<Dispatch> = OnceLock::new();
@@ -79,7 +80,7 @@ impl Dispatch {
                 None => Dispatch::chunked(),
             })
         }
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         Dispatch::chunked()
     }
 
@@ -99,7 +100,7 @@ impl Dispatch {
     pub fn label(self) -> &'static str {
         match self.path {
             Path::Chunked => "chunked",
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             Path::Avx2(_) => "avx2",
         }
     }
@@ -129,7 +130,7 @@ fn hash8(d: Dispatch, coeffs: &[u64], keys: &[u64; CHUNK]) -> [u64; CHUNK] {
             let xs = keys.map(|k| k % P61);
             horner_lanes_reduced(coeffs, &xs)
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         Path::Avx2(token) => avx2::horner8(token, coeffs, keys),
     }
 }
@@ -151,7 +152,7 @@ fn hash8_pair(
                 horner_lanes_reduced(bucket_coeffs, &xs),
             )
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         Path::Avx2(token) => avx2::horner8_pair(token, sign_coeffs, bucket_coeffs, keys),
     }
 }
@@ -354,6 +355,71 @@ pub fn signed_scatter(
     }
 }
 
+/// Pre-hash sibling of [`signed_scatter`]: write each key's ±1 sign into
+/// `signs[i]` and its counter index `hash(key) % width` into `slots[i]`
+/// instead of scattering. Same shared-lane pair evaluation and
+/// [`FixedMod`] remainder, so `signs`/`slots` equal the per-key
+/// `sign(k)`/`bucket(k, width)` values bit for bit. Callers that must
+/// interleave each key's update with a read of its counters (the top-k
+/// admission test) hash a chunk here once and then walk it in order.
+///
+/// # Panics
+///
+/// Panics if `width == 0` or `signs`/`slots` are not one slot per key.
+pub fn signed_slots(
+    d: Dispatch,
+    sign_coeffs: &[u64],
+    bucket_coeffs: &[u64],
+    width: usize,
+    keys: &[u64],
+    signs: &mut [i64],
+    slots: &mut [usize],
+) {
+    assert!(width > 0, "bucket width must be non-zero");
+    assert!(
+        keys.len() == signs.len() && keys.len() == slots.len(),
+        "signed_slots needs one sign and one slot per key"
+    );
+    let mut sbuf = [0u64; 8];
+    let mut bbuf = [0u64; 8];
+    let (Some(sn), Some(bn)) = (
+        reduced_coeffs(sign_coeffs, &mut sbuf),
+        reduced_coeffs(bucket_coeffs, &mut bbuf),
+    ) else {
+        for ((s, b), &k) in signs.iter_mut().zip(slots.iter_mut()).zip(keys) {
+            *s = 1 - 2 * ((poly_eval(sign_coeffs, k) & 1) as i64);
+            *b = (poly_eval(bucket_coeffs, k) % width as u64) as usize;
+        }
+        return;
+    };
+    let (sc, bc) = (&sbuf[..sn], &bbuf[..bn]);
+    let wm = FixedMod::new(width as u64);
+    let mut key_chunks = keys.chunks_exact(CHUNK);
+    let mut sign_chunks = signs.chunks_exact_mut(CHUNK);
+    let mut slot_chunks = slots.chunks_exact_mut(CHUNK);
+    for ((kc, so), bo) in key_chunks
+        .by_ref()
+        .zip(sign_chunks.by_ref())
+        .zip(slot_chunks.by_ref())
+    {
+        let ks: &[u64; CHUNK] = kc.try_into().expect("chunks_exact yields full chunks");
+        let (hs, hb) = hash8_pair(d, sc, bc, ks);
+        for l in 0..CHUNK {
+            so[l] = 1 - 2 * ((hs[l] & 1) as i64);
+            bo[l] = wm.rem(hb[l]) as usize;
+        }
+    }
+    for ((s, b), &k) in sign_chunks
+        .into_remainder()
+        .iter_mut()
+        .zip(slot_chunks.into_remainder().iter_mut())
+        .zip(key_chunks.remainder())
+    {
+        *s = 1 - 2 * ((poly_eval(sc, k) & 1) as i64);
+        *b = wm.rem(poly_eval(bc, k)) as usize;
+    }
+}
+
 /// Count-carrying twin of [`signed_scatter`]:
 /// `counters[hash(key) % width] += count·sign(key)` per `(key, count)`.
 ///
@@ -497,7 +563,7 @@ fn eh3_t8(d: Dispatch, s: u64, keys: &[u64; CHUNK]) -> [u64; CHUNK] {
             }
             t
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         Path::Avx2(token) => avx2::eh3_t8(token, s, keys),
     }
 }
@@ -730,7 +796,7 @@ pub fn tab_bucket_batch(tables: &[[u64; 256]; 8], width: usize, keys: &[u64], ou
 /// `reduce128_partial` and canonicalized with the same two folds plus
 /// conditional subtract as `reduce128`, so each lane computes literally
 /// the same u64 sequence as one scalar Horner chain.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod avx2 {
     use super::CHUNK;
@@ -1052,6 +1118,13 @@ mod tests {
                     let mut got = vec![0i64; width];
                     signed_scatter(d, sc, bc, width, &keys[..len], &mut got);
                     assert_eq!(got, want, "signed width {width} len {len}");
+
+                    let (mut signs, mut slots) = (vec![0i64; len], vec![0usize; len]);
+                    signed_slots(d, sc, bc, width, &keys[..len], &mut signs, &mut slots);
+                    for (i, &k) in keys[..len].iter().enumerate() {
+                        assert_eq!(signs[i], 1 - 2 * ((poly_eval(sc, k) & 1) as i64));
+                        assert_eq!(slots[i], (poly_eval(bc, k) % width as u64) as usize);
+                    }
 
                     let mut want = vec![0i64; width];
                     for &(k, c) in &items[..len] {

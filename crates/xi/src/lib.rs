@@ -42,8 +42,9 @@
 //! ```
 
 // `deny` instead of `forbid`: the one audited AVX2 module in `kernels`
-// carries a scoped `#[allow(unsafe_code)]` (compiled only under the `simd`
-// feature); everything else in the crate remains statically unsafe-free.
+// carries a scoped `#[allow(unsafe_code)]` (compiled on every x86-64
+// build, entered only after the runtime AVX2 probe succeeds); everything
+// else in the crate remains statically unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -1,15 +1,20 @@
 //! Property-based tests of the batched update kernels: `update_batch` /
 //! `update_batch_counts` must be bit-identical to the sequential per-key
-//! path for every sketch backend and ξ family combination, and the
-//! skip-sampled `feed_batch` must reproduce `observe` exactly.
+//! path for every sketch backend and ξ family combination, the batched
+//! top-k, KLL and `MultiSummary` ingestion must leave serialized state
+//! byte-identical to their per-key loops, and the skip-sampled
+//! `feed_batch` must reproduce `observe` exactly.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::JoinSchema;
-use sketch_sampled_streams::core::Sampled;
-use sketch_sampled_streams::sketch::{AgmsSchema, CountMinSchema, FagmsSchema, Sketch};
-use sketch_sampled_streams::xi::{Cw2, Cw2Bucket, Cw4, Eh3, Tabulation};
+use sketch_sampled_streams::core::{MultiSpec, Sampled, Summary};
+use sketch_sampled_streams::sketch::{
+    AgmsSchema, CountMinSchema, CountSketchTopK, FagmsSchema, HeavyHitters, KllSketch, Sketch,
+};
+use sketch_sampled_streams::xi::{BucketFamily, Cw2, Cw2Bucket, Cw4, Eh3, SignFamily, Tabulation};
 
 fn stream() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(any::<u64>(), 1..400)
@@ -45,6 +50,171 @@ fn check_counted_batch<S: Sketch>(
     let split = split.min(items.len());
     batched.update_batch_counts(&items[..split]);
     batched.update_batch_counts(&items[split..]);
+}
+
+/// Keys over a small domain mixed with arbitrary ones, so a top-k stream
+/// re-offers candidates, admits newcomers and evicts; up to 2000 keys
+/// crosses several hash chunks.
+fn topk_stream() -> impl Strategy<Value = Vec<u64>> {
+    let key = any::<u64>().prop_map(|x| if x % 4 == 0 { x } else { x % 200 });
+    prop::collection::vec(key, 0..2000)
+}
+
+/// Feed `keys` through `batched` in the chunks `cuts` marks off.
+fn offer_in_chunks<H: HeavyHitters>(batched: &mut H, keys: &[u64], cuts: &[usize]) {
+    let mut rest = keys;
+    for &cut in cuts {
+        let (head, tail) = rest.split_at(cut.min(rest.len()));
+        batched.offer_batch(head);
+        rest = tail;
+    }
+    batched.offer_batch(rest);
+}
+
+/// Serialized snapshot of a top-k summary (`serde_json` at the concrete
+/// family types).
+type Snapshot<S, B> = fn(&CountSketchTopK<S, B>) -> String;
+
+/// Serialized bytes and the `raw_top_k` answer, to the bit, must agree.
+fn assert_same_topk<S: SignFamily, B: BucketFamily>(
+    snapshot: Snapshot<S, B>,
+    scalar: &CountSketchTopK<S, B>,
+    batched: &CountSketchTopK<S, B>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(snapshot(scalar), snapshot(batched));
+    let (want, got) = (scalar.raw_top_k(64), batched.raw_top_k(64));
+    prop_assert_eq!(want.len(), got.len());
+    for ((wk, wv), (gk, gv)) in want.iter().zip(&got) {
+        prop_assert_eq!(wk, gk);
+        prop_assert_eq!(wv.to_bits(), gv.to_bits());
+    }
+    Ok(())
+}
+
+/// `offer_batch` over arbitrary chunkings against per-key `offer(k, 1)`,
+/// then both merged with a second summary and fed `tail`: state must stay
+/// byte-identical through the merge and after it.
+fn check_topk_batch<S: SignFamily, B: BucketFamily>(
+    schema: &FagmsSchema<S, B>,
+    snapshot: Snapshot<S, B>,
+    capacity: usize,
+    keys: &[u64],
+    cuts: &[usize],
+    tail: &[u64],
+) -> Result<(), TestCaseError> {
+    let mut scalar = CountSketchTopK::new(schema, capacity).unwrap();
+    let mut batched = CountSketchTopK::new(schema, capacity).unwrap();
+    for &k in keys {
+        scalar.offer(k, 1);
+    }
+    offer_in_chunks(&mut batched, keys, cuts);
+    assert_same_topk(snapshot, &scalar, &batched)?;
+
+    let mut other = CountSketchTopK::new(schema, capacity).unwrap();
+    other.offer_batch(tail);
+    scalar.merge(&other).unwrap();
+    batched.merge(&other).unwrap();
+    for &k in tail {
+        scalar.offer(k, 1);
+    }
+    batched.offer_batch(tail);
+    assert_same_topk(snapshot, &scalar, &batched)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Count-Sketch top-k: `offer_batch` (chunks hashed once on the `xi`
+    /// kernels, then admitted in order) is byte-identical to per-key
+    /// `offer`, for the polynomial rows (`signed_slots`) and the generic
+    /// fallback (EH3 sign), at capacities small enough to evict.
+    #[test]
+    fn topk_offer_batch_matches_scalar(
+        keys in topk_stream(),
+        tail in prop::collection::vec(0u64..300, 0..600),
+        cuts in prop::collection::vec(0usize..700, 0..4),
+        capacity in 1usize..=64,
+        depth in 1usize..=7,
+        width in 1usize..300,
+        seed: u64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let schema = FagmsSchema::<Cw4, Cw2Bucket>::new(depth, width, &mut rng);
+        let snapshot: Snapshot<Cw4, Cw2Bucket> = |t| serde_json::to_string(t).unwrap();
+        check_topk_batch(&schema, snapshot, capacity, &keys, &cuts, &tail)?;
+        let schema = FagmsSchema::<Eh3, Cw2Bucket>::new(depth, width, &mut rng);
+        let snapshot: Snapshot<Eh3, Cw2Bucket> = |t| serde_json::to_string(t).unwrap();
+        check_topk_batch(&schema, snapshot, capacity, &keys, &cuts, &tail)?;
+    }
+
+    /// KLL: run-appending `insert_batch` compresses exactly where the
+    /// per-key loop does, so levels and coin state match byte for byte,
+    /// also after a merge.
+    #[test]
+    fn kll_insert_batch_matches_scalar(
+        values in prop::collection::vec(any::<u64>(), 0..3000),
+        tail in prop::collection::vec(0u64..1000, 0..1500),
+        cuts in prop::collection::vec(0usize..1000, 0..4),
+        big_k: bool,
+        seed: u64,
+    ) {
+        let k = if big_k { 200 } else { 8 };
+        let mut scalar = KllSketch::with_seed(k, seed).unwrap();
+        let mut batched = KllSketch::with_seed(k, seed).unwrap();
+        for &v in &values {
+            scalar.insert(v);
+        }
+        let mut rest = &values[..];
+        for &cut in &cuts {
+            let (head, tail) = rest.split_at(cut.min(rest.len()));
+            batched.insert_batch(head);
+            rest = tail;
+        }
+        batched.insert_batch(rest);
+        prop_assert_eq!(
+            serde_json::to_string(&scalar).unwrap(),
+            serde_json::to_string(&batched).unwrap()
+        );
+
+        let mut other = KllSketch::with_seed(k, seed ^ 1).unwrap();
+        other.insert_batch(&tail);
+        scalar.merge(&other).unwrap();
+        batched.merge(&other).unwrap();
+        for &v in &tail {
+            scalar.insert(v);
+        }
+        batched.insert_batch(&tail);
+        prop_assert_eq!(
+            serde_json::to_string(&scalar).unwrap(),
+            serde_json::to_string(&batched).unwrap()
+        );
+    }
+
+    /// `MultiSummary::update_batch` fans one batch into all four
+    /// summaries; its snapshot is byte-identical to per-key `update(k, 1)`.
+    #[test]
+    fn multi_summary_update_batch_matches_scalar(
+        keys in topk_stream(),
+        split in 0usize..2000,
+        seed: u64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let join = JoinSchema::fagms(2, 64, &mut rng);
+        let topk = FagmsSchema::new(5, 128, &mut rng);
+        let spec = MultiSpec::new(join, &mut rng).top_k(topk, 16).quantile_k(8);
+        let mut scalar = spec.summary().unwrap();
+        let mut batched = spec.summary().unwrap();
+        for &k in &keys {
+            scalar.update(k, 1);
+        }
+        let split = split.min(keys.len());
+        batched.update_batch(&keys[..split]);
+        batched.update_batch(&keys[split..]);
+        prop_assert_eq!(
+            serde_json::to_string(&scalar).unwrap(),
+            serde_json::to_string(&batched).unwrap()
+        );
+    }
 }
 
 proptest! {

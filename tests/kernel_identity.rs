@@ -1,16 +1,16 @@
 //! Property-based bit-identity tests for the `sss_xi::kernels` fast paths:
-//! every batched entry point — chunked and, when compiled with
-//! `--features simd` and running on a host with AVX2, the vectorized path
-//! behind [`Dispatch::get`] — must agree **exactly** with the per-key
-//! scalar reference for all sign and bucket families, on arbitrary keys
-//! and signed counts, including empty batches and lengths that are not a
-//! multiple of the kernel width (tails).
+//! every batched entry point — chunked and, on an x86-64 host with AVX2,
+//! the vectorized path behind [`Dispatch::get`] — must agree **exactly**
+//! with the per-key scalar reference for all sign and bucket families, on
+//! arbitrary keys and signed counts, including empty batches and lengths
+//! that are not a multiple of the kernel width (tails).
 //!
-//! Run both ways; the suite is the same, only the dispatch outcome moves:
+//! The AVX2 path is compiled on every x86-64 build and picked by a
+//! runtime CPU probe, so one run pins both paths on an AVX2 host and the
+//! chunked path twice elsewhere:
 //!
 //! ```text
 //! cargo test --test kernel_identity
-//! cargo test --test kernel_identity --features simd
 //! ```
 
 use proptest::prelude::*;
@@ -32,8 +32,8 @@ fn items_strategy() -> impl Strategy<Value = Vec<(u64, i64)>> {
 }
 
 /// Both dispatch outcomes to pin: the portable chunked path, and whatever
-/// the runtime probe picked (equal to chunked without `--features simd`,
-/// the AVX2 path with it on a supporting host).
+/// the runtime probe picked (the AVX2 path on a supporting x86-64 host,
+/// chunked elsewhere).
 fn paths() -> [Dispatch; 2] {
     [Dispatch::chunked(), Dispatch::get()]
 }
@@ -163,10 +163,10 @@ proptest! {
     }
 
     /// The fused sign+bucket scatter kernels (the F-AGMS / Count-Min row
-    /// update) leave counter state byte-identical to the per-key loop —
-    /// these route through `Dispatch::get()` internally, so under
-    /// `--features simd` this exercises the AVX2 pair-evaluation end to
-    /// end.
+    /// update) leave counter state byte-identical to the per-key loop, and
+    /// their pre-hash sibling `signed_slots` writes exactly the per-key
+    /// signs and buckets, on the chunked and the dispatched path (AVX2
+    /// pair-evaluation on a supporting host).
     #[test]
     fn scatter_kernels_are_bit_identical(
         keys in keys_strategy(),
@@ -187,6 +187,15 @@ proptest! {
         let mut got = vec![0i64; width];
         kernels::signed_scatter(Dispatch::get(), sc, bc, width, &keys, &mut got);
         prop_assert_eq!(&got, &expect);
+
+        let signs: Vec<i64> = keys.iter().map(|&k| sign.sign(k)).collect();
+        let slots: Vec<usize> = keys.iter().map(|&k| bucket.bucket(k, width)).collect();
+        for d in paths() {
+            let (mut got_signs, mut got_slots) = (vec![0i64; keys.len()], vec![0usize; keys.len()]);
+            kernels::signed_slots(d, sc, bc, width, &keys, &mut got_signs, &mut got_slots);
+            prop_assert_eq!(&got_signs, &signs);
+            prop_assert_eq!(&got_slots, &slots);
+        }
 
         let mut expect = vec![0i64; width];
         for &(k, c) in &items {
