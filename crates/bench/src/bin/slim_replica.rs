@@ -11,9 +11,10 @@
 //!   pre-replica path); the *slim* series answers from
 //!   [`sss_stream::ReadReplica`]s with a staleness budget, where at most
 //!   one reader per version pays the fat merge + slim projection and
-//!   everyone else decodes the shared frame bytes.
+//!   everyone else shares that projection by `Arc`.
 //! * **bytes_per_replica** — `encode()`d size of the fat sketch versus
-//!   its slim projection at several sketch geometries.
+//!   its slim projection at several sketch geometries: what a replica
+//!   in another process would be sent.
 //! * **accuracy_monte_carlo** — independently seeded sketches of the
 //!   same stream: the slim projection's answer is asserted bit-identical
 //!   to the fat sketch's at projection time, and both are scored against

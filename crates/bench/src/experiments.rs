@@ -555,10 +555,9 @@ pub struct QueriesUnderIngestConfig {
 /// re-clones every shard through a parked-worker round trip each time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueriesPoint {
-    /// `"cached"` ([`ShardedRuntime::merged`], incremental snapshot
-    /// cache) or `"full_barrier"`
-    /// ([`ShardedRuntime::merged_uncached`], the pre-cache behaviour:
-    /// every shard cloned per query).
+    /// `"cached"` ([`ShardedRuntime::merged`], the snapshot cache) or
+    /// `"full_barrier"` ([`ShardedRuntime::merged_uncached`], the
+    /// pre-cache behaviour: every shard cloned per query).
     pub mode: &'static str,
     /// Total queries issued across all bursts.
     pub queries: u64,
@@ -584,13 +583,13 @@ pub struct QueriesPoint {
 /// The queries-under-ingest experiment behind the
 /// `queries_under_ingest` series of `BENCH_sharded_runtime.json`:
 /// interleave bursts of at-all-times `merged()` queries with a full-rate
-/// ingest, once through the incremental snapshot cache and once through
+/// ingest, once through the snapshot cache and once through
 /// the pre-cache full barrier, asserting every answer bit-identical to
 /// the sequential sketch of the prefix pushed so far.
 ///
 /// Within a burst the stream does not advance, so the cached mode pays
-/// one dirty-shard delta and then pure cache hits, while the full
-/// barrier re-clones every shard on every call — the continuous-tracking
+/// one re-merge (cloning only the dirty shards) and then pure cache hits,
+/// while the full barrier re-clones every shard on every call — the continuous-tracking
 /// workload (Huang–Tai–Yi) where per-query recomputation loses.
 pub fn queries_under_ingest(cfg: &QueriesUnderIngestConfig) -> Vec<QueriesPoint> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);

@@ -73,11 +73,8 @@
 //!   equivalent to summarizing the concatenated streams — bit-identical
 //!   for the linear sketches, guarantee-preserving for the (order-lossy)
 //!   heavy-hitter/quantile summaries — so a sharded runtime can partition
-//!   tuples arbitrarily;
-//! * [`supports_retract`](Summary::supports_retract) gates the snapshot
-//!   cache's delta rebuilds: linear sketches retract exactly, while
-//!   monotone or lossy summaries (HyperLogLog, KLL, Misra–Gries) honestly
-//!   return `false` and the cache falls back to a full re-merge.
+//!   tuples arbitrarily, and a snapshot cache can re-merge fresh shard
+//!   clones in shard order.
 //!
 //! Why bit-identity is load-bearing: every query path (batched vs
 //! per-key, merged vs single-stream, slim vs fat) is pinned by property
@@ -121,37 +118,6 @@ pub trait Summary: Clone + Send + 'static {
     /// Schema mismatch (different random seeds, or structurally
     /// incompatible summaries) — merged state would be meaningless.
     fn merge_from(&mut self, other: &Self) -> Result<()>;
-
-    /// Whether [`retract_from`](Summary::retract_from) performs an
-    /// **exact** entry-wise inverse of [`merge_from`](Summary::merge_from).
-    ///
-    /// The linear sketch backends store integer counters, so
-    /// `merge_from(new)` after `retract_from(old)` leaves the estimator
-    /// bit-identical to a fresh merge over the updated parts — this is
-    /// what lets a snapshot cache replace one shard's stale contribution
-    /// in O(sketch) instead of re-merging every shard. Defaults to
-    /// `false` so monotone/lossy summaries (HyperLogLog, KLL,
-    /// Misra–Gries) and external implementations honestly opt out and
-    /// callers fall back to a full re-merge.
-    fn supports_retract(&self) -> bool {
-        false
-    }
-
-    /// Entry-wise retraction of a peer previously merged in: afterwards
-    /// `self` summarizes its stream *minus* `other`'s, exactly — the delta
-    /// counterpart of [`merge_from`](Summary::merge_from).
-    ///
-    /// Only meaningful when [`supports_retract`](Summary::supports_retract)
-    /// returns `true`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::RetractUnsupported`] by default; schema mismatch for the
-    /// linear sketch backends.
-    fn retract_from(&mut self, other: &Self) -> Result<()> {
-        let _ = other;
-        Err(Error::RetractUnsupported)
-    }
 }
 
 /// The capability of answering the paper's join-size queries.
@@ -347,11 +313,12 @@ pub trait Portable: Sized {
 /// — medians-of-means lanes for the join sketches, the candidate scores
 /// for top-k — instead of the full counter matrix. Slim states are *not*
 /// mergeable (lane aggregates don't add: `(a+b)² ≠ a² + b²`), so
-/// projection always happens **after** fat merging; the read path ships
-/// `encode()`d slim bytes to replicas, never the reverse.
+/// projection always happens **after** fat merging. In process, readers
+/// share one projection by `Arc` (hence `Sync`); across processes the
+/// slim form travels as [`Portable`] bytes.
 pub trait SlimQuery: Summary + Portable {
     /// The compact read-replica form.
-    type Slim: Portable + Clone + Send + 'static;
+    type Slim: Portable + Clone + Send + Sync + 'static;
 
     /// Project the current state to its read-replica form.
     fn slim(&self) -> Self::Slim;
@@ -371,14 +338,6 @@ where
 
     fn merge_from(&mut self, other: &Self) -> Result<()> {
         Ok(self.merge(other)?)
-    }
-
-    fn supports_retract(&self) -> bool {
-        true
-    }
-
-    fn retract_from(&mut self, other: &Self) -> Result<()> {
-        Ok(self.subtract(other)?)
     }
 }
 
@@ -411,14 +370,6 @@ where
     fn merge_from(&mut self, other: &Self) -> Result<()> {
         Ok(self.merge(other)?)
     }
-
-    fn supports_retract(&self) -> bool {
-        true
-    }
-
-    fn retract_from(&mut self, other: &Self) -> Result<()> {
-        Ok(self.subtract(other)?)
-    }
 }
 
 impl<S, B> JoinQuery for FagmsSketch<S, B>
@@ -450,14 +401,6 @@ where
     fn merge_from(&mut self, other: &Self) -> Result<()> {
         Ok(self.merge(other)?)
     }
-
-    fn supports_retract(&self) -> bool {
-        true
-    }
-
-    fn retract_from(&mut self, other: &Self) -> Result<()> {
-        Ok(self.subtract(other)?)
-    }
 }
 
 impl<B> JoinQuery for CountMinSketch<B>
@@ -485,14 +428,6 @@ impl Summary for JoinSketch {
     fn merge_from(&mut self, other: &Self) -> Result<()> {
         self.merge(other)
     }
-
-    fn supports_retract(&self) -> bool {
-        true
-    }
-
-    fn retract_from(&mut self, other: &Self) -> Result<()> {
-        self.subtract(other)
-    }
 }
 
 impl JoinQuery for JoinSketch {
@@ -508,8 +443,7 @@ impl JoinQuery for JoinSketch {
 /// Heavy-hitter summaries shard like sketches do — merge via the
 /// Agarwal-et-al. summary merge — but answer top-k queries, not joins.
 /// Insert-only: non-positive counts are dropped by [`MisraGries`] (see its
-/// docs). Merging subtracts candidate mass irreversibly, so retraction is
-/// honestly unsupported.
+/// docs).
 impl Summary for MisraGries {
     fn update(&mut self, key: u64, count: i64) {
         self.offer(key, count);
@@ -576,8 +510,7 @@ where
 
 /// Distinct counting is duplicate-insensitive, so `update` treats any
 /// positive count as one occurrence of the key and ignores deletions —
-/// registers only ever grow (which is also why retraction is honestly
-/// unsupported and sharded snapshots fall back to full re-merges).
+/// registers only ever grow.
 impl Summary for HyperLogLog {
     fn update(&mut self, key: u64, count: i64) {
         if count > 0 {
@@ -612,7 +545,7 @@ impl DistinctQuery for HyperLogLog {
 
 /// Quantile summaries weight a key by its multiplicity, so `update` with
 /// `count > 1` inserts the key that many times; deletions are ignored
-/// (compaction discards items irreversibly — no retraction).
+/// (compaction discards items irreversibly).
 impl Summary for KllSketch {
     fn update(&mut self, key: u64, count: i64) {
         for _ in 0..count.max(0) {
@@ -705,25 +638,6 @@ mod tests {
         let ej = scalar.size_of_join_estimate(&batched).unwrap();
         assert_eq!(ej.value.to_bits(), combine(&ej.basics).to_bits());
         assert!((ej.value - est).abs() <= est.abs() * 1e-9 + 1e-9);
-        // Retraction is the exact inverse of merge for every linear
-        // backend: retract(old) then merge(new) lands bit-identically on
-        // the fresh merge — the delta-rebuild contract the sharded
-        // runtime's snapshot cache relies on.
-        assert!(scalar.supports_retract());
-        let mut merged = make();
-        merged.merge_from(&left).unwrap(); // left already holds the union
-        let mut grown = make();
-        Summary::update_batch(&mut grown, &keys);
-        Summary::update_batch(&mut grown, &[1, 2, 3]);
-        merged.retract_from(&left).unwrap();
-        merged.merge_from(&grown).unwrap();
-        let mut fresh = make();
-        fresh.merge_from(&grown).unwrap();
-        assert_eq!(
-            f2(&merged).to_bits(),
-            f2(&fresh).to_bits(),
-            "retract + merge must equal a fresh merge exactly"
-        );
     }
 
     #[test]
@@ -744,8 +658,8 @@ mod tests {
     }
 
     /// A minimal external implementor with no error model: it implements
-    /// the two estimate methods as [`Estimate::point`] and leans on the
-    /// [`Summary`] retraction defaults, which must honestly refuse.
+    /// the two estimate methods as [`Estimate::point`] and the three
+    /// required [`Summary`] methods, nothing else.
     #[test]
     fn trait_defaults_keep_external_implementors_compiling() {
         #[derive(Clone)]
@@ -781,13 +695,6 @@ mod tests {
         }
         let mut e = ExactCounter(Default::default());
         e.update_batch(&[1, 1, 2, 3]);
-        // The delta-merge defaults: external implementors honestly report
-        // that retraction is unsupported and the method errors.
-        assert!(!e.supports_retract());
-        assert!(matches!(
-            e.clone().retract_from(&e),
-            Err(crate::Error::RetractUnsupported)
-        ));
         let est = e.self_join_estimate();
         assert_eq!(est.value, 6.0);
         assert!(est.variance.is_infinite());
@@ -824,7 +731,7 @@ mod tests {
     }
 
     /// HyperLogLog rides the ingestion contract: duplicate-insensitive
-    /// updates, union merges, honest retraction refusal, analytic error.
+    /// updates, union merges, analytic error.
     #[test]
     fn distinct_capability_over_hyperloglog() {
         let mut h = HyperLogLog::with_seed(12, 99).unwrap();
@@ -836,12 +743,6 @@ mod tests {
         assert_eq!(est.value.to_bits(), h.raw_distinct().to_bits());
         assert!((est.value - 5_000.0).abs() / 5_000.0 < 5.0 * h.relative_std_error());
         assert!(est.variance.is_finite() && est.variance > 0.0);
-        // No retraction: honest refusal, so delta rebuilds cannot lie.
-        assert!(!Summary::supports_retract(&h));
-        assert!(matches!(
-            Summary::retract_from(&mut h.clone(), &h),
-            Err(Error::RetractUnsupported)
-        ));
     }
 
     /// KLL rides the ingestion contract with weight-aware updates, and its
@@ -860,7 +761,6 @@ mod tests {
         assert!(lo <= median && median <= hi);
         let true_rank = QuantileQuery::rank(&s, median as u64);
         assert!((true_rank - 0.5).abs() < 2.0 * QuantileQuery::rank_error(&s));
-        assert!(!Summary::supports_retract(&s));
         assert!(QuantileQuery::quantile(&s, 1.4).is_err());
     }
 }

@@ -17,11 +17,14 @@
 //!   windows of every client rather than buffering unboundedly.
 //! * The **query thread** owns a [`ReadReplica`] opened from the
 //!   runtime's query handle and a second poller over the query
-//!   listener. Queries are answered from the local slim projection
-//!   (single-flight refresh through the shared frame hub), so a slow
-//!   or chatty query client never blocks ingest, and sustained ingest
-//!   costs a query only the staleness the replica's `max_pending`
-//!   budget allows — with the estimate's error bar widened to match.
+//!   listener. Each query line refreshes the replica once
+//!   (single-flight through the shared frame hub) and is answered from
+//!   that one slim projection, so a slow or chatty query client never
+//!   blocks ingest, and sustained ingest costs a query only the
+//!   staleness the replica's `max_pending` budget allows — with the
+//!   estimate's error bar widened to match. A client that pipelines
+//!   requests without reading the replies is not read from while its
+//!   unsent replies exceed a fixed mark, so its memory stays bounded.
 //!
 //! A graceful shutdown (the query-plane `{"cmd":"shutdown"}`, or
 //! [`RunningServer::shutdown_and_wait`]) stops accepting, drains the
@@ -34,7 +37,7 @@ use crate::error::{NetError, Result};
 use crate::protocol::{self, FrameReader};
 use crate::sys::{Event, Interest, Poller};
 use sss_core::wire::{self, FrameError};
-use sss_core::{MultiSpec, MultiSummary, Portable};
+use sss_core::{DistinctQuery, MultiSpec, MultiSummary, Portable, QuantileQuery, TopKQuery};
 use sss_stream::runtime::RuntimeConfig;
 use sss_stream::{QueryHandle, ReadReplica, ShardedRuntime};
 use std::collections::HashMap;
@@ -52,6 +55,10 @@ const TOKEN_LISTENER: u64 = 0;
 const TICK: Duration = Duration::from_millis(25);
 /// Socket read chunk per readiness event (per loop turn, for fairness).
 const READ_CHUNK: usize = 64 << 10;
+/// Unsent reply bytes at which a query connection stops answering and
+/// reading until its peer drains them: a client that pipelines requests
+/// and never reads holds at most this plus one reply and one read chunk.
+const REPLY_BACKLOG_MARK: usize = 256 << 10;
 
 /// Configuration for [`RunningServer::start`].
 #[derive(Debug, Clone)]
@@ -174,8 +181,8 @@ impl ServerStats {
 struct Conn {
     stream: TcpStream,
     reader: FrameReader,
+    /// Response bytes not yet taken by the socket.
     out: Vec<u8>,
-    out_pos: usize,
     /// Handshake completed: `BATCH`/`SYNC` frames are admissible.
     hello_done: bool,
     /// Close once the out-buffer drains (set after queueing an `ERROR`).
@@ -190,33 +197,36 @@ impl Conn {
             stream,
             reader: FrameReader::new(),
             out: Vec::new(),
-            out_pos: 0,
             hello_done: false,
             closing: false,
             armed_write: false,
         }
     }
+}
 
-    /// Push buffered response bytes; `Ok(true)` when fully drained.
-    fn flush(&mut self) -> std::io::Result<bool> {
-        while self.out_pos < self.out.len() {
-            match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "peer stopped reading",
-                    ))
-                }
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
+/// Write as much of `out` as the socket takes and drop the written
+/// prefix; `Ok(true)` when `out` is empty.
+fn flush_out(stream: &mut TcpStream, out: &mut Vec<u8>) -> std::io::Result<bool> {
+    let mut sent = 0;
+    let result = loop {
+        if sent == out.len() {
+            break Ok(true);
         }
-        self.out.clear();
-        self.out_pos = 0;
-        Ok(true)
-    }
+        match stream.write(&out[sent..]) {
+            Ok(0) => {
+                break Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "peer stopped reading",
+                ))
+            }
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break Ok(false),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => break Err(e),
+        }
+    };
+    out.drain(..sent);
+    result
 }
 
 /// What the per-connection frame pump decided.
@@ -428,7 +438,7 @@ fn ingest_loop(
                 verdict = pump_connection(conn, &mut runtime, &head, &stats, &mut scratch);
             }
             if matches!(verdict, Verdict::Keep) && (ev.writable || !conn.out.is_empty()) {
-                match conn.flush() {
+                match flush_out(&mut conn.stream, &mut conn.out) {
                     Ok(true) if conn.closing => verdict = Verdict::Drop,
                     Ok(_) => {}
                     Err(_) => verdict = Verdict::Drop,
@@ -441,7 +451,7 @@ fn ingest_loop(
                     stats.connections_open.fetch_sub(1, Ordering::AcqRel);
                 }
                 Verdict::Keep => {
-                    let want_write = conn.out_pos < conn.out.len();
+                    let want_write = !conn.out.is_empty();
                     if want_write != conn.armed_write {
                         conn.armed_write = want_write;
                         let interest = if want_write {
@@ -460,7 +470,7 @@ fn ingest_loop(
     // the rings empty through into_merged (dropping the lanes closes
     // the data rings; each worker drains before exiting).
     for (_, mut conn) in conns.drain() {
-        let _ = conn.flush();
+        let _ = flush_out(&mut conn.stream, &mut conn.out);
     }
     drop(poller);
     drop(listener);
@@ -496,7 +506,7 @@ fn accept_all(
                 // The server speaks first: the banner head goes out
                 // before any client frame is read.
                 protocol::write_frame(&mut conn.out, protocol::FRAME_HELLO_OK, banner);
-                let drained = conn.flush().unwrap_or(false);
+                let drained = flush_out(&mut conn.stream, &mut conn.out).unwrap_or(false);
                 conn.armed_write = !drained;
                 let interest = if drained {
                     Interest::READ
@@ -687,21 +697,33 @@ struct QueryConn {
     /// Set once a line overran [`protocol::MAX_QUERY_LINE`]: input is
     /// discarded, and the write half is shut once the error is flushed.
     closing: bool,
+    /// Reply bytes not yet taken by the socket.
     out: Vec<u8>,
-    out_pos: usize,
 }
 
 impl QueryConn {
-    /// Queue one reply line per complete request line in `inbuf`. Every
-    /// byte is searched for `\n` once, so a slowly arriving line costs
-    /// linear time; a line longer than [`protocol::MAX_QUERY_LINE`]
-    /// (complete or not) gets one error reply and closes the connection,
-    /// so the buffer stays bounded.
+    /// Whether the unsent replies have reached [`REPLY_BACKLOG_MARK`]:
+    /// no more lines are answered or read until the peer drains them.
+    fn backlogged(&self) -> bool {
+        self.out.len() >= REPLY_BACKLOG_MARK
+    }
+
+    /// Queue one reply line per complete request line in `inbuf`, until
+    /// the connection is [`backlogged`](Self::backlogged); the remaining
+    /// lines wait in `inbuf`. Every byte is searched for `\n` once, so a
+    /// slowly arriving line costs linear time; a line longer than
+    /// [`protocol::MAX_QUERY_LINE`] (complete or not) gets one error
+    /// reply and closes the connection, so the buffer stays bounded.
     fn answer_lines(&mut self, mut answer: impl FnMut(&str) -> String) {
         let mut start = 0;
-        while let Some(at) = self.inbuf[self.scanned..].iter().position(|&b| b == b'\n') {
+        while !self.backlogged() {
+            let Some(at) = self.inbuf[self.scanned..].iter().position(|&b| b == b'\n') else {
+                self.scanned = self.inbuf.len();
+                break;
+            };
             let nl = self.scanned + at;
             if nl - start > protocol::MAX_QUERY_LINE {
+                self.scanned = nl;
                 break;
             }
             let line = String::from_utf8_lossy(&self.inbuf[start..nl]);
@@ -711,33 +733,13 @@ impl QueryConn {
             self.scanned = start;
         }
         self.inbuf.drain(..start);
-        self.scanned = self.inbuf.len();
-        if self.inbuf.len() > protocol::MAX_QUERY_LINE {
+        self.scanned -= start;
+        if self.scanned > protocol::MAX_QUERY_LINE {
             let message = format!("query line exceeds {} bytes", protocol::MAX_QUERY_LINE);
             self.out.extend_from_slice(error_reply(&message).as_bytes());
             self.out.push(b'\n');
             (self.inbuf, self.scanned, self.closing) = (Vec::new(), 0, true);
         }
-    }
-
-    fn flush(&mut self) -> std::io::Result<bool> {
-        while self.out_pos < self.out.len() {
-            match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "peer stopped reading",
-                    ))
-                }
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        self.out.clear();
-        self.out_pos = 0;
-        Ok(true)
     }
 }
 
@@ -783,7 +785,6 @@ fn query_loop(
                                 scanned: 0,
                                 closing: false,
                                 out: Vec::new(),
-                                out_pos: 0,
                             };
                             if poller.register(&conn.stream, token, Interest::READ).is_ok() {
                                 conns.insert(token, conn);
@@ -799,8 +800,10 @@ fn query_loop(
             let Some(conn) = conns.get_mut(&ev.token) else {
                 continue;
             };
+            let mut answer =
+                |line: &str| answer_query(line, &mut replica, &handle, &stats, &shutdown);
             let mut drop_conn = false;
-            if ev.readable || ev.hangup {
+            if (ev.readable || ev.hangup) && !conn.backlogged() {
                 loop {
                     match conn.stream.read(&mut scratch) {
                         Ok(0) => {
@@ -813,11 +816,9 @@ fn query_loop(
                         Ok(n) => {
                             if !conn.closing {
                                 conn.inbuf.extend_from_slice(&scratch[..n]);
-                                conn.answer_lines(|line| {
-                                    answer_query(line, &mut replica, &handle, &stats, &shutdown)
-                                });
+                                conn.answer_lines(&mut answer);
                             }
-                            if n < scratch.len() {
+                            if n < scratch.len() || conn.backlogged() {
                                 break;
                             }
                         }
@@ -830,13 +831,16 @@ fn query_loop(
                     }
                 }
             }
-            if !drop_conn && !conn.out.is_empty() {
-                match conn.flush() {
+            // Send replies; each time the socket takes everything, answer
+            // the lines held back while the backlog was over the mark.
+            while !drop_conn && !conn.out.is_empty() {
+                match flush_out(&mut conn.stream, &mut conn.out) {
                     // The error reply is out: the peer reads EOF next.
                     Ok(true) if conn.closing => {
                         let _ = conn.stream.shutdown(std::net::Shutdown::Write);
                     }
-                    Ok(_) => {}
+                    Ok(true) => conn.answer_lines(&mut answer),
+                    Ok(false) => break,
                     Err(_) => drop_conn = true,
                 }
             }
@@ -845,11 +849,12 @@ fn query_loop(
                     let _ = poller.deregister(&conn.stream);
                 }
             } else {
-                let want_write = conn.out_pos < conn.out.len();
-                let interest = if want_write {
-                    Interest::READ_WRITE
-                } else {
+                let interest = if conn.backlogged() {
+                    Interest::WRITE
+                } else if conn.out.is_empty() {
                     Interest::READ
+                } else {
+                    Interest::READ_WRITE
                 };
                 let _ = poller.modify(&conn.stream, ev.token, interest);
             }
@@ -857,7 +862,7 @@ fn query_loop(
     }
 
     for (_, mut conn) in conns.drain() {
-        let _ = conn.flush();
+        let _ = flush_out(&mut conn.stream, &mut conn.out);
     }
     Ok(())
 }
@@ -927,8 +932,9 @@ fn answer_query(
             })
             .map_err(|e| e.to_string()),
         "distinct" => replica
-            .distinct_estimate()
-            .map(|est| {
+            .refresh()
+            .map(|_| {
+                let est = replica.slim().distinct_estimate();
                 let mut out = String::from("{\"ok\":true,\"cmd\":\"distinct\",");
                 push_f64_field(&mut out, "value", est.value);
                 out.push(',');
@@ -938,44 +944,43 @@ fn answer_query(
                 out
             })
             .map_err(|e| e.to_string()),
-        "quantile" => {
-            let q = req.q.unwrap_or(0.5);
-            replica
-                .quantile(q)
-                .and_then(|value| {
-                    let (lo, hi) = replica.quantile_bounds(q)?;
-                    let mut out = String::from("{\"ok\":true,\"cmd\":\"quantile\",");
-                    out.push_str(&format!("\"q\":{},", json_num(q)));
-                    push_f64_field(&mut out, "value", value);
-                    out.push(',');
-                    push_f64_field(&mut out, "lo", lo);
-                    out.push(',');
-                    push_f64_field(&mut out, "hi", hi);
-                    out.push('}');
-                    Ok(out)
-                })
-                .map_err(|e| e.to_string())
-        }
-        "topk" => {
-            let k = req.k.unwrap_or(10) as usize;
-            replica
-                .top_k(k)
-                .map(|top| {
-                    let mut out = String::from("{\"ok\":true,\"cmd\":\"topk\",\"top\":[");
-                    for (i, (key, est)) in top.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!("{{\"key\":{key},"));
-                        push_f64_field(&mut out, "value", est.value);
-                        push_intervals(&mut out, est, req.confidence);
-                        out.push('}');
+        "quantile" => replica
+            .refresh()
+            .and_then(|_| {
+                let q = req.q.unwrap_or(0.5);
+                let slim = replica.slim();
+                let value = slim.quantile(q)?;
+                let (lo, hi) = slim.quantile_bounds(q)?;
+                let mut out = String::from("{\"ok\":true,\"cmd\":\"quantile\",");
+                out.push_str(&format!("\"q\":{},", json_num(q)));
+                push_f64_field(&mut out, "value", value);
+                out.push(',');
+                push_f64_field(&mut out, "lo", lo);
+                out.push(',');
+                push_f64_field(&mut out, "hi", hi);
+                out.push('}');
+                Ok(out)
+            })
+            .map_err(|e| e.to_string()),
+        "topk" => replica
+            .refresh()
+            .map(|_| {
+                let slim = replica.slim();
+                let mut out = String::from("{\"ok\":true,\"cmd\":\"topk\",\"top\":[");
+                for (i, (key, _)) in slim.top_k(req.k.unwrap_or(10) as usize).iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
                     }
-                    out.push_str("]}");
-                    out
-                })
-                .map_err(|e| e.to_string())
-        }
+                    let est = slim.frequency_estimate(*key);
+                    out.push_str(&format!("{{\"key\":{key},"));
+                    push_f64_field(&mut out, "value", est.value);
+                    push_intervals(&mut out, &est, req.confidence);
+                    out.push('}');
+                }
+                out.push_str("]}");
+                out
+            })
+            .map_err(|e| e.to_string()),
         "stats" => {
             let pool = stats.pool_stats();
             Ok(format!(

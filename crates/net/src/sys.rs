@@ -63,6 +63,12 @@ impl Interest {
         readable: true,
         writable: true,
     };
+    /// Write-only interest — a peer with too many unsent replies is not
+    /// read until it drains them.
+    pub const WRITE: Interest = Interest {
+        readable: false,
+        writable: true,
+    };
 }
 
 /// Clamp an optional timeout to the `c_int` milliseconds the syscalls

@@ -364,6 +364,156 @@ fn query_plane_answers_all_four_families_and_shutdown_snapshots() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every integer value of `field` in a reply line, in reply order (the
+/// per-entry fields of a top-k reply).
+fn reply_fields(line: &str, field: &str) -> Vec<u64> {
+    line.split(&format!("\"{field}\":"))
+        .skip(1)
+        .map(|rest| rest[..rest.find([',', '}']).unwrap()].parse().unwrap())
+        .collect()
+}
+
+/// The served answers are the in-process answers, bit for bit: after a
+/// `SYNC` on a `max_pending = 0` server, each of the four query families
+/// replies with exactly what the slim projection of the merged summary
+/// answers in process (value, variance, quantile bracket, top-k keys and
+/// values).
+#[test]
+fn served_answers_equal_the_in_process_slim_answers_bit_for_bit() {
+    use sss_core::{DistinctQuery, JoinQuery, QuantileQuery, SlimQuery, TopKQuery};
+    let config = ServerConfig {
+        runtime: RuntimeConfig {
+            shards: 2,
+            queue_depth: 8,
+            partition: Partition::RoundRobin,
+        },
+        max_pending: 0,
+        ..ServerConfig::default()
+    };
+    let srv = RunningServer::start(config, &spec(5)).unwrap();
+    let keys: Vec<u64> = (0..3_000u64).map(|i| (i * i) % 397).collect();
+    let mut client = IngestClient::connect(srv.ingest_addr()).unwrap();
+    for batch in keys.chunks(100) {
+        client.send_batch(batch).unwrap();
+    }
+    client.sync().unwrap();
+
+    let mut queries = QueryClient::connect(srv.query_addr()).unwrap();
+    let sj = queries.request("{\"cmd\":\"self_join\"}").unwrap();
+    let distinct = queries.request("{\"cmd\":\"distinct\"}").unwrap();
+    let quantile = queries.request("{\"cmd\":\"quantile\",\"q\":0.3}").unwrap();
+    let topk = queries.request("{\"cmd\":\"topk\",\"k\":7}").unwrap();
+    client.finish().unwrap();
+    queries.shutdown().unwrap();
+    let slim = srv.wait().unwrap().slim();
+
+    let bits = |line: &str, field: &str| -> u64 {
+        protocol::response_field(line, field).unwrap_or_else(|| panic!("{field} in {line}"))
+    };
+    let est = slim.self_join_estimate();
+    assert_eq!(bits(&sj, "value_bits"), est.value.to_bits(), "{sj}");
+    assert_eq!(bits(&sj, "variance_bits"), est.variance.to_bits(), "{sj}");
+    let est = slim.distinct_estimate();
+    assert_eq!(
+        bits(&distinct, "value_bits"),
+        est.value.to_bits(),
+        "{distinct}"
+    );
+    assert_eq!(
+        bits(&distinct, "variance_bits"),
+        est.variance.to_bits(),
+        "{distinct}"
+    );
+    let value = slim.quantile(0.3).unwrap();
+    let (lo, hi) = slim.quantile_bounds(0.3).unwrap();
+    assert_eq!(bits(&quantile, "value_bits"), value.to_bits(), "{quantile}");
+    assert_eq!(bits(&quantile, "lo_bits"), lo.to_bits(), "{quantile}");
+    assert_eq!(bits(&quantile, "hi_bits"), hi.to_bits(), "{quantile}");
+    let top: Vec<u64> = slim.top_k(7).into_iter().map(|(key, _)| key).collect();
+    assert_eq!(top.len(), 7);
+    assert_eq!(reply_fields(&topk, "key"), top, "{topk}");
+    let expect: Vec<u64> = top
+        .iter()
+        .map(|&key| slim.frequency_estimate(key).value.to_bits())
+        .collect();
+    assert_eq!(reply_fields(&topk, "value_bits"), expect, "{topk}");
+}
+
+/// A client that pipelines requests and never reads its replies is
+/// throttled: once its unsent replies pass the server's backlog mark the
+/// server stops reading its socket, so the client's non-blocking writes
+/// stall at `WouldBlock` after a bounded number of bytes (kernel socket
+/// buffers plus the requests answered before the mark). Another client
+/// keeps getting answers meanwhile, and the pipeliner, once it reads,
+/// gets one reply per complete request it sent.
+#[test]
+fn never_reading_pipeliner_stalls_within_a_byte_bound_and_spares_others() {
+    /// Request bytes the stalled pipeliner may have written: loopback
+    /// send and receive buffers of a few MiB, plus the requests whose
+    /// replies fill the server's send buffer and backlog mark (a `stats`
+    /// reply is about 20 times its request).
+    const BOUND: usize = 16 << 20;
+    const STALL: std::time::Duration = std::time::Duration::from_millis(500);
+    let srv = server(23, 1, Partition::RoundRobin);
+    let timeout = Some(std::time::Duration::from_secs(10));
+    let mut calm = QueryClient::connect(srv.query_addr()).unwrap();
+
+    let request = b"{\"cmd\":\"stats\"}\n";
+    let chunk: Vec<u8> = request
+        .iter()
+        .copied()
+        .cycle()
+        .take(request.len() * 4096)
+        .collect();
+    let mut hog = TcpStream::connect(srv.query_addr()).unwrap();
+    hog.set_nonblocking(true).unwrap();
+    let mut written = 0usize;
+    let mut stalled_since: Option<std::time::Instant> = None;
+    loop {
+        let at = written % chunk.len();
+        match hog.write(&chunk[at..]) {
+            Ok(n) => {
+                written += n;
+                stalled_since = None;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                if stalled_since
+                    .get_or_insert_with(std::time::Instant::now)
+                    .elapsed()
+                    > STALL
+                {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            Err(e) => panic!("pipeliner write failed: {e}"),
+        }
+        assert!(
+            written <= BOUND,
+            "the server kept reading a client that never reads: {written} bytes accepted"
+        );
+        // While the pipeliner is stalled, another client is answered.
+        if stalled_since.is_some() {
+            let line = calm.stats_line().unwrap();
+            assert!(line.contains("\"ok\":true"), "{line}");
+        }
+    }
+
+    // Reading resumes the pipeliner: every complete request is answered.
+    hog.set_nonblocking(false).unwrap();
+    hog.set_read_timeout(timeout).unwrap();
+    let expect = written / request.len();
+    let mut reader = std::io::BufReader::new(hog);
+    let mut line = String::new();
+    for i in 0..expect {
+        line.clear();
+        std::io::BufRead::read_line(&mut reader, &mut line)
+            .unwrap_or_else(|e| panic!("reply {i} of {expect}: {e}"));
+        assert!(line.starts_with("{\"ok\":true,\"cmd\":\"stats\""), "{line}");
+    }
+    srv.shutdown_and_wait().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

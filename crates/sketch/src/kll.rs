@@ -21,9 +21,8 @@
 //!   levels, XOR-combines the two coin states, and re-compacts with
 //!   levels *sorted before every compaction* — so `a.merge(b)` and
 //!   `b.merge(a)` answer every quantile query bit-identically.
-//! * **No retraction.** Compaction discards items irreversibly; like
-//!   HyperLogLog this summary honestly opts out of exact retraction and
-//!   delta rebuilds fall back to full re-merges.
+//! * **No subtraction.** Compaction discards items irreversibly; like
+//!   HyperLogLog, a sharded snapshot is rebuilt by re-merging the shards.
 //!
 //! Total stored weight is conserved exactly (each compacted pair of
 //! weight-`w` items becomes one weight-`2w` survivor; odd leftovers stay

@@ -9,7 +9,7 @@
 //!   for bit (the paper's §VI-C multi-core observation, made long-lived);
 //! * [`ring`] — the lock-free SPSC ring buffers and the out-of-band
 //!   control queue the runtime's ingest lanes are built from;
-//! * [`snapshot`] — the versioned incremental snapshot cache behind
+//! * [`snapshot`] — the versioned snapshot cache behind
 //!   `merged()`: repeated at-all-times queries re-clone only shards
 //!   dirtied since the previous query;
 //! * [`engine`] — the DSMS engine over that runtime: transform chain,

@@ -15,10 +15,12 @@
 //!  (partition) └─ data ring ─▶ worker 2 ─ owns shard sketch E₂     rings
 //!                      ▲ control queue (snapshot requests)
 //!  merged() ── dirty shards only ──▶ snapshot cache ──▶ E₀ ⊕ E₁ ⊕ E₂
+//!                                                           │ project once
+//!  ReadReplica ×N ◀──── Arc<Slim> shared by pointer ◀───── slim()
 //! ```
 //!
-//! Two perf-critical design decisions (see `DESIGN.md` §4h and
-//! `BENCH_sharded_runtime.json` for the before/after numbers):
+//! Three perf-critical design decisions (see `DESIGN.md` §4h and §4k,
+//! and `BENCH_sharded_runtime.json` for the before/after numbers):
 //!
 //! * **Transport** — each shard lane is a pair of lock-free SPSC
 //!   [`ring`] buffers: a *data* ring carrying batch buffers
@@ -36,10 +38,15 @@
 //!   confusion unrepresentable at the type level). Each worker bumps a
 //!   per-shard **dirty epoch** after every applied batch, and
 //!   [`merged`](ShardedRuntime::merged) re-clones only shards whose epoch
-//!   moved since the previous query, folding them into a cached merge by
-//!   exact retract + merge deltas ([`snapshot`](crate::snapshot)). A
-//!   repeated at-all-times query with no intervening ingest costs one
-//!   clone — O(sketch bytes), independent of the shard count.
+//!   moved since the previous query and then re-merges the cached shard
+//!   clones ([`snapshot`](crate::snapshot)). A repeated at-all-times
+//!   query with no intervening ingest costs one clone — O(sketch bytes),
+//!   independent of the shard count.
+//! * **Replicas** — a [`ReadReplica`] answers from the merged state's
+//!   slim projection. One refresher per version merges and projects; the
+//!   projection is shared with every replica in the process by `Arc`,
+//!   with no encode or decode (bytes are for process boundaries, via
+//!   [`Portable`](sss_core::Portable)).
 //!
 //! * [`push`](ShardedRuntime::push) blocks when a ring is full
 //!   (backpressure propagates to the source);
@@ -64,7 +71,7 @@
 use crate::error::{Result, StreamError};
 use crate::ring::{self, Backoff, ControlQueue, PushError};
 use crate::snapshot::{CacheStats, ReplicaFrame, ReplicaHub, SnapshotCache};
-use sss_core::{Estimate, JoinQuery, Portable, SlimQuery, Summary};
+use sss_core::{Estimate, JoinQuery, SlimQuery, Summary};
 use sss_sampling::staleness_variance_plugin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
@@ -182,11 +189,11 @@ struct RuntimeShared<E> {
     /// a mutex so only `E: Send` is required of the estimator.
     prototype: Mutex<E>,
     shards: Vec<ShardState<E>>,
-    /// The incremental snapshot cache; its mutex also serializes
-    /// concurrent queries from multiple handles.
+    /// The snapshot cache; its mutex also serializes concurrent queries
+    /// from multiple handles.
     cache: Mutex<SnapshotCache<E>>,
     /// The slim read-replica exchange point: one refresher projects the
-    /// merged fat state, N [`ReadReplica`]s decode the published bytes.
+    /// merged fat state, N [`ReadReplica`]s share the published projection.
     replica: ReplicaHub,
     /// Highest `accepted − applied` any shard ever reached (≤ depth + 1).
     high_water: AtomicUsize,
@@ -214,7 +221,7 @@ impl<E: Summary> RuntimeShared<E> {
     }
 
     /// Lock the prototype, recovering from poison. The prototype is only
-    /// ever *cloned* under this lock, never mutated, so a poisoned guard
+    /// ever *read* under this lock, never mutated, so a poisoned guard
     /// still holds the pristine schema-bearing estimator.
     fn lock_prototype(&self) -> MutexGuard<'_, E> {
         self.prototype
@@ -250,12 +257,12 @@ impl<E: Summary> RuntimeShared<E> {
             .unwrap_or(0)
     }
 
-    /// The incremental at-all-times query. See the module docs: only
-    /// shards whose dirty epoch moved past the cached stamp are asked for
-    /// a fresh clone; the cache folds them in by exact retract + merge.
+    /// The cached at-all-times query. See the module docs: only shards
+    /// whose dirty epoch moved past the cached stamp are asked for a fresh
+    /// clone; the cache then re-merges, or hits when nothing moved.
     fn merged(&self) -> Result<E> {
         // Holding the cache lock for the whole query serializes
-        // concurrent handles (each still pays only its own dirty delta).
+        // concurrent handles (each clones only the shards still dirty).
         let mut cache = self.lock_cache();
         let mut fetches = Vec::new();
         for (shard, state) in self.shards.iter().enumerate() {
@@ -278,9 +285,8 @@ impl<E: Summary> RuntimeShared<E> {
             let (version, clone) = self.fetch_snapshot(shard, &rx)?;
             fresh.push((shard, version, clone));
         }
-        let prototype = self.lock_prototype().clone();
         cache
-            .refresh(&prototype, fresh)
+            .refresh(&self.lock_prototype(), fresh)
             .map_err(StreamError::Estimator)
     }
 
@@ -346,7 +352,7 @@ impl<E: Summary + SlimQuery> RuntimeShared<E> {
     /// Ensure the hub carries a frame reflecting at least `min_version`
     /// accepted batches, projecting a fresh one if not. Single-flight:
     /// concurrent stale readers elect one refresher (the `begin_refresh`
-    /// guard) and everyone else decodes the frame that refresher
+    /// guard) and everyone else adopts the frame that refresher
     /// published.
     fn ensure_replica(&self, min_version: u64) -> Result<ReplicaFrame> {
         if let Some(frame) = self.replica.frame() {
@@ -367,12 +373,10 @@ impl<E: Summary + SlimQuery> RuntimeShared<E> {
         // covers ≥ `version` batches and staleness is never understated.
         let version = self.accepted_total();
         let fat = self.merged()?;
-        let applied = self.tuples_ingested();
-        let bytes = fat.slim().encode().map_err(StreamError::Estimator)?;
         let frame = ReplicaFrame {
             version,
-            applied,
-            bytes: Arc::new(bytes),
+            applied: self.tuples_ingested(),
+            slim: Arc::new(fat.slim()),
         };
         self.replica.publish(frame.clone());
         Ok(frame)
@@ -577,8 +581,8 @@ impl<E: Summary> ShardedRuntime<E> {
         self.shared.tuples_per_sec()
     }
 
-    /// Snapshot-cache counters: how many queries were served from cache,
-    /// by partial delta rebuild, or by full re-merge.
+    /// Snapshot-cache counters: how many queries were served from cache
+    /// or by a re-merge.
     pub fn cache_stats(&self) -> CacheStats {
         self.shared.cache_stats()
     }
@@ -807,8 +811,8 @@ impl<E: Summary> ShardedRuntime<E> {
     /// accepted-batch floor.
     ///
     /// The runtime keeps running; this is the at-all-times query, served
-    /// through the incremental snapshot cache (shards untouched since the
-    /// previous query cost nothing — [`cache_stats`](Self::cache_stats)).
+    /// through the snapshot cache (shards untouched since the previous
+    /// query are not cloned again — [`cache_stats`](Self::cache_stats)).
     ///
     /// # Errors
     ///
@@ -905,9 +909,10 @@ impl<E: Summary> std::fmt::Debug for ShardedRuntime<E> {
 }
 
 /// A cloneable read-side handle on a [`ShardedRuntime`]: answers
-/// at-all-times queries through the same incremental snapshot cache,
-/// concurrently with the owner's ingest (queries from multiple handles
-/// serialize on the cache, each paying only its own dirty delta).
+/// at-all-times queries through the same snapshot cache, concurrently
+/// with the owner's ingest (queries from multiple handles serialize on
+/// the cache, each cloning only the shards dirtied since the previous
+/// query).
 ///
 /// A handle outlives the runtime: after
 /// [`into_merged`](ShardedRuntime::into_merged) (or drop) it still serves
@@ -995,7 +1000,7 @@ impl<E: Summary + SlimQuery> ShardedRuntime<E> {
     /// # Errors
     ///
     /// [`StreamError::ShardDisconnected`] if the initial projection needs
-    /// a shard whose worker died; estimator errors from slim encoding.
+    /// a shard whose worker died.
     pub fn read_replica(&self, max_pending: u64) -> Result<ReadReplica<E>> {
         ReadReplica::open(Arc::clone(&self.shared), max_pending)
     }
@@ -1019,20 +1024,21 @@ impl<E: Summary + SlimQuery> QueryHandle<E> {
 /// two-stage read path.
 ///
 /// Instead of cloning and merging the fat shard estimators on every
-/// query (the [`merged`](ShardedRuntime::merged) path), a replica keeps a
-/// decoded [`SlimQuery::Slim`] projection and refreshes it from the
-/// runtime's shared frame hub only when the accepted-batch counter has
-/// advanced past `max_pending`. N replicas across N query threads share
-/// one hub: per version, exactly one of them (single-flight) pays the
-/// fat merge + slim projection + encode, and everyone else pays a
-/// pointer bump plus a slim decode of the shared byte buffer.
+/// query (the [`merged`](ShardedRuntime::merged) path), a replica holds a
+/// shared [`SlimQuery::Slim`] projection and refreshes it from the
+/// runtime's frame hub only when the accepted-batch counter has advanced
+/// past `max_pending`. N replicas across N query threads share one hub:
+/// per version, exactly one of them (single-flight) pays the fat merge +
+/// slim projection, and everyone else pays a pointer bump.
 ///
-/// `*_estimate()` answers carry the slim projection's sketch variance
-/// **plus** a staleness term
-/// ([`sss_sampling::staleness_variance_plugin`]) grown from the tuples
-/// accepted since the frame was projected, so a replica lagging behind
-/// ingest reports honestly wider error bars rather than a silently stale
-/// point value.
+/// Answer every query family from one [`refresh`](ReadReplica::refresh)
+/// through [`slim`](ReadReplica::slim) and the capability traits, so the
+/// parts of one answer come from the same frame.
+/// [`self_join_estimate`](ReadReplica::self_join_estimate) also carries a
+/// staleness term ([`sss_sampling::staleness_variance_plugin`]) grown
+/// from the tuples accepted since the frame was projected, so a replica
+/// lagging behind ingest reports honestly wider error bars rather than a
+/// silently stale point value.
 pub struct ReadReplica<E: Summary + SlimQuery> {
     shared: Arc<RuntimeShared<E>>,
     /// Accepted-batch staleness tolerated before a refresh is forced.
@@ -1041,32 +1047,39 @@ pub struct ReadReplica<E: Summary + SlimQuery> {
     version: u64,
     /// Tuples applied when the adopted frame was projected.
     applied: u64,
-    slim: E::Slim,
+    slim: Arc<E::Slim>,
+}
+
+/// The typed projection of a frame published by this runtime's hub.
+fn frame_slim<E: SlimQuery>(frame: ReplicaFrame) -> Arc<E::Slim> {
+    frame
+        .slim
+        .downcast()
+        .expect("a runtime's hub only holds that runtime's E::Slim")
 }
 
 impl<E: Summary + SlimQuery> ReadReplica<E> {
     fn open(shared: Arc<RuntimeShared<E>>, max_pending: u64) -> Result<Self> {
         let floor = shared.accepted_total().saturating_sub(max_pending);
         let frame = shared.ensure_replica(floor)?;
-        let slim = E::Slim::decode(&frame.bytes).map_err(StreamError::Estimator)?;
         Ok(Self {
             shared,
             max_pending,
             version: frame.version,
             applied: frame.applied,
-            slim,
+            slim: frame_slim::<E>(frame),
         })
     }
 
     /// Bring the local slim state within `max_pending` accepted batches
     /// of the ingest frontier. Returns `true` if a newer frame was
     /// adopted. At most one caller per version pays the fat projection;
-    /// the rest decode its published bytes.
+    /// the rest share it.
     ///
     /// # Errors
     ///
     /// [`StreamError::ShardDisconnected`] if a refresh needs a shard
-    /// whose worker died; estimator errors from slim encode/decode.
+    /// whose worker died.
     pub fn refresh(&mut self) -> Result<bool> {
         let target = self.shared.accepted_total();
         if target.saturating_sub(self.version) <= self.max_pending {
@@ -1078,9 +1091,9 @@ impl<E: Summary + SlimQuery> ReadReplica<E> {
         if frame.version <= self.version {
             return Ok(false);
         }
-        self.slim = E::Slim::decode(&frame.bytes).map_err(StreamError::Estimator)?;
         self.version = frame.version;
         self.applied = frame.applied;
+        self.slim = frame_slim::<E>(frame);
         Ok(true)
     }
 
@@ -1123,81 +1136,6 @@ where
         let pending = self.shared.tuples_ingested().saturating_sub(self.applied);
         let extra = staleness_variance_plugin(est.value, self.applied, pending);
         Ok(est.plus_variance(extra))
-    }
-}
-
-impl<E> ReadReplica<E>
-where
-    E: Summary + SlimQuery,
-    E::Slim: sss_core::DistinctQuery,
-{
-    /// Distinct-count query from the slim replica: refresh if past
-    /// `max_pending`, then answer from local slim state. The estimate
-    /// carries the slim projection's own variance; unlike
-    /// [`self_join_estimate`](ReadReplica::self_join_estimate) no
-    /// staleness term is added (there is no F₀ drift bound analogous to
-    /// the F2 one), so treat the bar as "as of the adopted frame".
-    ///
-    /// # Errors
-    ///
-    /// As for [`refresh`](ReadReplica::refresh).
-    pub fn distinct_estimate(&mut self) -> Result<Estimate> {
-        self.refresh()?;
-        Ok(sss_core::DistinctQuery::distinct_estimate(&self.slim))
-    }
-}
-
-impl<E> ReadReplica<E>
-where
-    E: Summary + SlimQuery,
-    E::Slim: sss_core::QuantileQuery,
-{
-    /// Quantile query from the slim replica (refreshes first).
-    ///
-    /// # Errors
-    ///
-    /// As for [`refresh`](ReadReplica::refresh), or an estimator error
-    /// for `q ∉ [0, 1]` / an empty summary.
-    pub fn quantile(&mut self, q: f64) -> Result<f64> {
-        self.refresh()?;
-        sss_core::QuantileQuery::quantile(&self.slim, q).map_err(StreamError::Estimator)
-    }
-
-    /// Quantile query with the KLL rank-error envelope (refreshes
-    /// first) — `(lo, hi)` bracket the true `q`-quantile with the
-    /// sketch's deterministic rank guarantee.
-    ///
-    /// # Errors
-    ///
-    /// As for [`quantile`](ReadReplica::quantile).
-    pub fn quantile_bounds(&mut self, q: f64) -> Result<(f64, f64)> {
-        self.refresh()?;
-        sss_core::QuantileQuery::quantile_bounds(&self.slim, q).map_err(StreamError::Estimator)
-    }
-}
-
-impl<E> ReadReplica<E>
-where
-    E: Summary + SlimQuery,
-    E::Slim: sss_core::TopKQuery,
-{
-    /// Top-k query from the slim replica (refreshes first): the `k`
-    /// heaviest tracked keys, each with its typed frequency estimate.
-    ///
-    /// # Errors
-    ///
-    /// As for [`refresh`](ReadReplica::refresh).
-    pub fn top_k(&mut self, k: usize) -> Result<Vec<(u64, Estimate)>> {
-        self.refresh()?;
-        Ok(sss_core::TopKQuery::top_k(&self.slim, k)
-            .into_iter()
-            .map(|(key, _)| {
-                (
-                    key,
-                    sss_core::TopKQuery::frequency_estimate(&self.slim, key),
-                )
-            })
-            .collect())
     }
 }
 
@@ -1644,9 +1582,8 @@ mod tests {
         ));
     }
 
-    /// An estimator that sleeps per batch and opts out of retraction:
-    /// deterministically saturates tiny rings, and exercises the snapshot
-    /// cache's full-rebuild fallback inside the real runtime.
+    /// An estimator that sleeps per batch: deterministically saturates
+    /// tiny rings inside the real runtime.
     #[derive(Clone)]
     struct SlowSketch {
         inner: JoinSketch,
@@ -1715,8 +1652,7 @@ mod tests {
             merged.self_join_estimate().value.to_bits(),
             f2_bits(&expect)
         );
-        // SlowSketch opts out of retraction, so the cache fell back to
-        // full rebuilds — still exact, never cached-stale.
+        // The first query built the cache — exact, never cached-stale.
         assert_eq!(rt.cache_stats().full_rebuilds, 1);
         assert_eq!(rt.queue_occupancy(), 0, "query quiesced the shard");
     }
@@ -1774,7 +1710,7 @@ mod tests {
         let barrier = rt.merged_uncached().unwrap();
         assert_eq!(f2_bits(&barrier), f2_bits(&first));
         // One more round-robin batch dirties exactly one shard; the
-        // delta rebuild still matches the sequential sketch bit for bit.
+        // re-merge still matches the sequential sketch bit for bit.
         rt.push(&s[half..half + 512]).unwrap();
         let after = rt.merged().unwrap();
         assert_eq!(
@@ -1782,11 +1718,11 @@ mod tests {
             f2_bits(&sequential(&schema, &s[..half + 512]))
         );
         let stats = rt.cache_stats();
-        assert_eq!(stats.partial_rebuilds, 1);
+        assert_eq!(stats.full_rebuilds, 2);
         assert_eq!(
             stats.shards_refreshed,
             config.shards as u64 + 1,
-            "first query cloned every shard, the delta cloned one"
+            "first query cloned every shard, the re-merge cloned one"
         );
     }
 
